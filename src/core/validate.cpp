@@ -2,8 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
-#include <functional>
-#include <map>
+#include <cstdint>
 
 #include "geometry/tetra.hpp"
 #include "predicates/predicates.hpp"
@@ -12,12 +11,50 @@ namespace pi2m {
 namespace {
 
 using FaceKey = std::array<std::uint32_t, 3>;
-using EdgeKey = std::array<std::uint32_t, 2>;
 
 FaceKey face_key(std::uint32_t a, std::uint32_t b, std::uint32_t c) {
   FaceKey k{a, b, c};
   std::sort(k.begin(), k.end());
   return k;
+}
+
+constexpr int kTetFaces[4][3] = {{1, 3, 2}, {0, 2, 3}, {0, 3, 1}, {0, 1, 2}};
+
+struct OwnedFace {
+  FaceKey key;
+  std::uint32_t owner;  ///< index of the tet the face belongs to
+  bool operator<(const OwnedFace& o) const {
+    return key != o.key ? key < o.key : owner < o.owner;
+  }
+};
+
+/// Every tet face, in lexicographic (key, owner) order. A counting sort on
+/// the smallest vertex (the key's first entry) does the bulk of the work;
+/// each bucket then holds only the few faces around one vertex and is
+/// sorted in place.
+std::vector<OwnedFace> sorted_tet_faces(const TetMesh& mesh) {
+  std::vector<std::size_t> start(mesh.points.size() + 1, 0);
+  for (const auto& t : mesh.tets) {
+    for (const auto& fi : kTetFaces) {
+      ++start[std::min({t[fi[0]], t[fi[1]], t[fi[2]]}) + 1];
+    }
+  }
+  for (std::size_t v = 1; v < start.size(); ++v) start[v] += start[v - 1];
+
+  std::vector<OwnedFace> faces(start.back());
+  std::vector<std::size_t> next(start.begin(), start.end() - 1);
+  for (std::uint32_t ti = 0; ti < mesh.tets.size(); ++ti) {
+    const auto& t = mesh.tets[ti];
+    for (const auto& fi : kTetFaces) {
+      const FaceKey k = face_key(t[fi[0]], t[fi[1]], t[fi[2]]);
+      faces[next[k[0]]++] = {k, ti};
+    }
+  }
+  for (std::size_t v = 0; v + 1 < start.size(); ++v) {
+    std::sort(faces.begin() + static_cast<std::ptrdiff_t>(start[v]),
+              faces.begin() + static_cast<std::ptrdiff_t>(start[v + 1]));
+  }
+  return faces;
 }
 
 }  // namespace
@@ -83,69 +120,74 @@ MeshValidation validate_mesh(const TetMesh& mesh) {
   }
 
   // --- face conformity ---
-  std::map<FaceKey, int> face_count;
-  for (const auto& t : mesh.tets) {
-    constexpr int f[4][3] = {{1, 3, 2}, {0, 2, 3}, {0, 3, 1}, {0, 1, 2}};
-    for (const auto& fi : f) {
-      ++face_count[face_key(t[fi[0]], t[fi[1]], t[fi[2]])];
-    }
-  }
-  std::map<FaceKey, int> boundary_faces;
+  // Both lists are in key order, the order the errors are reported in.
+  const std::vector<OwnedFace> faces = sorted_tet_faces(mesh);
+  std::vector<FaceKey> boundary;
+  boundary.reserve(mesh.boundary_tris.size());
   for (const auto& b : mesh.boundary_tris) {
-    ++boundary_faces[face_key(b[0], b[1], b[2])];
+    boundary.push_back(face_key(b[0], b[1], b[2]));
   }
-  for (const auto& [k, c] : boundary_faces) {
-    if (c > 1) fail("duplicate boundary triangle");
-    if (face_count.find(k) == face_count.end()) {
+  std::sort(boundary.begin(), boundary.end());
+  std::size_t f = 0;  // first face whose key is not below boundary[i]
+  for (std::size_t i = 0; i < boundary.size();) {
+    std::size_t j = i + 1;
+    while (j < boundary.size() && boundary[j] == boundary[i]) ++j;
+    if (j - i > 1) fail("duplicate boundary triangle");
+    while (f < faces.size() && faces[f].key < boundary[i]) ++f;
+    if (f == faces.size() || faces[f].key != boundary[i]) {
       fail("boundary triangle is not a face of any element");
     }
+    i = j;
   }
-  for (const auto& [k, c] : face_count) {
-    if (c > 2) {
-      fail("face shared by more than two elements");
-    } else if (c == 1 && boundary_faces.find(k) == boundary_faces.end()) {
-      fail("exposed face missing from boundary_tris");
+
+  // One pass over runs of equal keys: the run length is the number of
+  // elements sharing the face, and every run joins its owners' components.
+  std::vector<std::uint32_t> parent(mesh.tets.size());
+  for (std::uint32_t i = 0; i < parent.size(); ++i) parent[i] = i;
+  const auto find = [&parent](std::uint32_t x) {
+    while (parent[x] != x) {
+      parent[x] = parent[parent[x]];
+      x = parent[x];
     }
+    return x;
+  };
+  std::size_t b = 0;  // first boundary key not below the face key k
+  for (std::size_t i = 0; i < faces.size();) {
+    const FaceKey& k = faces[i].key;
+    std::size_t j = i + 1;
+    for (; j < faces.size() && faces[j].key == k; ++j) {
+      parent[find(faces[j].owner)] = find(faces[i].owner);
+    }
+    if (j - i > 2) {
+      fail("face shared by more than two elements");
+    } else if (j - i == 1) {
+      while (b < boundary.size() && boundary[b] < k) ++b;
+      if (b == boundary.size() || boundary[b] != k) {
+        fail("exposed face missing from boundary_tris");
+      }
+    }
+    i = j;
+  }
+  for (std::uint32_t i = 0; i < parent.size(); ++i) {
+    if (find(i) == i) ++v.connected_components;
   }
 
   // --- boundary edge manifoldness (informational) ---
-  std::map<EdgeKey, int> edge_count;
-  for (const auto& b : mesh.boundary_tris) {
+  std::vector<std::uint64_t> edges;
+  edges.reserve(3 * mesh.boundary_tris.size());
+  for (const auto& t : mesh.boundary_tris) {
     for (int i = 0; i < 3; ++i) {
-      EdgeKey e{b[i], b[(i + 1) % 3]};
-      if (e[0] > e[1]) std::swap(e[0], e[1]);
-      ++edge_count[e];
+      const std::uint64_t lo = std::min(t[i], t[(i + 1) % 3]);
+      const std::uint64_t hi = std::max(t[i], t[(i + 1) % 3]);
+      edges.push_back(lo << 32 | hi);
     }
   }
-  for (const auto& [e, c] : edge_count) {
-    if (c != 2) ++v.boundary_edges_nonmanifold;
-  }
-
-  // --- connected components of the element graph (via shared faces) ---
-  if (!mesh.tets.empty()) {
-    std::map<FaceKey, std::uint32_t> first_owner;
-    std::vector<std::uint32_t> parent(mesh.tets.size());
-    for (std::uint32_t i = 0; i < parent.size(); ++i) parent[i] = i;
-    std::function<std::uint32_t(std::uint32_t)> find =
-        [&](std::uint32_t x) -> std::uint32_t {
-      while (parent[x] != x) {
-        parent[x] = parent[parent[x]];
-        x = parent[x];
-      }
-      return x;
-    };
-    for (std::uint32_t ti = 0; ti < mesh.tets.size(); ++ti) {
-      const auto& t = mesh.tets[ti];
-      constexpr int f[4][3] = {{1, 3, 2}, {0, 2, 3}, {0, 3, 1}, {0, 1, 2}};
-      for (const auto& fi : f) {
-        const FaceKey k = face_key(t[fi[0]], t[fi[1]], t[fi[2]]);
-        const auto [it, fresh] = first_owner.emplace(k, ti);
-        if (!fresh) parent[find(ti)] = find(it->second);
-      }
-    }
-    for (std::uint32_t i = 0; i < parent.size(); ++i) {
-      if (find(i) == i) ++v.connected_components;
-    }
+  std::sort(edges.begin(), edges.end());
+  for (std::size_t i = 0; i < edges.size();) {
+    std::size_t j = i + 1;
+    while (j < edges.size() && edges[j] == edges[i]) ++j;
+    if (j - i != 2) ++v.boundary_edges_nonmanifold;
+    i = j;
   }
 
   v.ok = v.errors.empty();

@@ -7,7 +7,8 @@ namespace pi2m {
 
 IsosurfaceOracle::IsosurfaceOracle(const LabeledImage3D& img, int threads)
     : img_(&img),
-      ft_(FeatureTransform::compute(img, threads)),
+      threads_(std::max(1, threads)),
+      ft_(FeatureTransform::compute(img, threads_)),
       step_(0.45 * img.min_spacing()),
       voxel_diag_(norm(img.spacing())),
       inv_sp_{1.0 / img.spacing().x, 1.0 / img.spacing().y,

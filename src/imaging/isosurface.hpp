@@ -25,6 +25,11 @@ class IsosurfaceOracle {
   [[nodiscard]] const LabeledImage3D& image() const { return *img_; }
   [[nodiscard]] const FeatureTransform& edt() const { return ft_; }
 
+  /// The thread budget the oracle was built with (at least 1). Queries are
+  /// const and thread-safe; post-processing that samples the oracle
+  /// (Hausdorff) runs on this many threads.
+  [[nodiscard]] int threads() const { return threads_; }
+
   /// Nearest-neighbour label at a world point (background outside image).
   [[nodiscard]] Label label_at(const Vec3& p) const { return img_->label_at(p); }
 
@@ -104,6 +109,7 @@ class IsosurfaceOracle {
                                                          const Vec3& b) const;
 
   const LabeledImage3D* img_;
+  int threads_;
   FeatureTransform ft_;
   double step_;
   double voxel_diag_;

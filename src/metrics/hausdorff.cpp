@@ -4,6 +4,9 @@
 #include <cmath>
 #include <limits>
 #include <unordered_map>
+#include <vector>
+
+#include "support/parallel_for.hpp"
 
 namespace pi2m {
 
@@ -156,6 +159,26 @@ class TriangleGrid {
   std::unordered_map<std::int64_t, std::vector<std::uint32_t>> cells_;
 };
 
+/// max(0, f(0), ..., f(n-1)) on `threads` threads that take the indices
+/// round-robin: the work per index clusters (surface voxels sit in the
+/// middle slices), so contiguous blocks would leave one thread with most
+/// of it. Max is exact and order-free, so the result does not depend on
+/// the thread count.
+template <typename F>
+double parallel_max(std::size_t n, int threads, const F& f) {
+  const std::size_t t = std::min<std::size_t>(std::max(1, threads),
+                                              std::max<std::size_t>(n, 1));
+  std::vector<double> maxima(t, 0.0);
+  parallel_blocks(t, static_cast<int>(t), [&](std::size_t b, std::size_t e) {
+    for (std::size_t w = b; w < e; ++w) {
+      double m = 0.0;
+      for (std::size_t i = w; i < n; i += t) m = std::max(m, f(i));
+      maxima[w] = m;
+    }
+  });
+  return *std::max_element(maxima.begin(), maxima.end());
+}
+
 }  // namespace
 
 HausdorffResult hausdorffdistance_impl(const TetMesh& mesh,
@@ -163,38 +186,48 @@ HausdorffResult hausdorffdistance_impl(const TetMesh& mesh,
                                        int n) {
   HausdorffResult out;
   if (mesh.boundary_tris.empty()) return out;
+  const int threads = oracle.threads();
 
   // mesh -> surface: barycentric samples of each boundary triangle.
-  for (const auto& f : mesh.boundary_tris) {
-    const Vec3& a = mesh.points[f[0]];
-    const Vec3& b = mesh.points[f[1]];
-    const Vec3& c = mesh.points[f[2]];
-    for (int i = 0; i <= n; ++i) {
-      for (int j = 0; j <= n - i; ++j) {
-        const double u = static_cast<double>(i) / n;
-        const double v = static_cast<double>(j) / n;
-        const Vec3 p = a + u * (b - a) + v * (c - a);
-        const auto q = oracle.closest_surface_point(p);
-        if (q) out.mesh_to_surface = std::max(out.mesh_to_surface,
-                                              distance(p, *q));
-      }
-    }
-  }
+  out.mesh_to_surface =
+      parallel_max(mesh.boundary_tris.size(), threads, [&](std::size_t t) {
+        const auto& f = mesh.boundary_tris[t];
+        const Vec3& a = mesh.points[f[0]];
+        const Vec3& b = mesh.points[f[1]];
+        const Vec3& c = mesh.points[f[2]];
+        double d = 0.0;
+        for (int i = 0; i <= n; ++i) {
+          for (int j = 0; j <= n - i; ++j) {
+            const double u = static_cast<double>(i) / n;
+            const double v = static_cast<double>(j) / n;
+            const Vec3 p = a + u * (b - a) + v * (c - a);
+            const auto q = oracle.closest_surface_point(p);
+            if (q) d = std::max(d, distance(p, *q));
+          }
+        }
+        return d;
+      });
 
-  // surface -> mesh: every surface voxel, refined onto the interface.
+  // surface -> mesh: every surface voxel, refined onto the interface; one
+  // z slice per index.
   const LabeledImage3D& img = oracle.image();
-  TriangleGrid grid(mesh, 2.0 * img.min_spacing());
-  for (int z = 0; z < img.nz(); ++z) {
-    for (int y = 0; y < img.ny(); ++y) {
-      for (int x = 0; x < img.nx(); ++x) {
-        if (!img.is_surface_voxel({x, y, z})) continue;
-        const auto q = oracle.closest_surface_point(img.voxel_center({x, y, z}));
-        if (!q) continue;
-        out.surface_to_mesh =
-            std::max(out.surface_to_mesh, grid.distance_to(*q));
-      }
-    }
-  }
+  const TriangleGrid grid(mesh, 2.0 * img.min_spacing());
+  out.surface_to_mesh = parallel_max(
+      static_cast<std::size_t>(img.nz()), threads,
+      [&](std::size_t slice) {
+        const int z = static_cast<int>(slice);
+        double d = 0.0;
+        for (int y = 0; y < img.ny(); ++y) {
+          for (int x = 0; x < img.nx(); ++x) {
+            if (!img.is_surface_voxel({x, y, z})) continue;
+            const auto q =
+                oracle.closest_surface_point(img.voxel_center({x, y, z}));
+            if (!q) continue;
+            d = std::max(d, grid.distance_to(*q));
+          }
+        }
+        return d;
+      });
   return out;
 }
 

@@ -37,7 +37,8 @@ struct HausdorffResult {
 };
 
 /// `samples_per_edge` controls the triangle sampling density (the triangle
-/// gets ~n(n+1)/2 samples).
+/// gets ~n(n+1)/2 samples). Both directions sample on `oracle.threads()`
+/// threads; the result is bitwise the same at any thread count.
 HausdorffResult hausdorff_distance(const TetMesh& mesh,
                                    const IsosurfaceOracle& oracle,
                                    int samples_per_edge = 3);

@@ -213,11 +213,17 @@ const JobArtifacts& MeshJob::run() {
 
   // --- reports ---
   if (art_.outcome.completed && spec_.want_report) {
+    double t0 = now_sec();
     art_.quality = evaluate_quality(art_.mesh);
+    art_.quality_sec = now_sec() - t0;
+    t0 = now_sec();
     art_.hausdorff = hausdorff_distance(art_.mesh, *post_oracle, 2);
+    art_.hausdorff_sec = now_sec() - t0;
   }
   if (art_.outcome.completed && spec_.want_validation) {
+    const double t0 = now_sec();
     art_.validation = validate_mesh(art_.mesh);
+    art_.validate_sec = now_sec() - t0;
   }
 
   // --- unified metrics snapshot ---
@@ -314,6 +320,9 @@ telemetry::RunManifest MeshJob::build_manifest(const std::string& tool) const {
   }
   man.add_phase("refine", art_.outcome.wall_sec);
   if (spec_.smooth > 0) man.add_phase("smooth", art_.smooth_sec);
+  if (art_.quality) man.add_phase("quality", art_.quality_sec);
+  if (art_.hausdorff) man.add_phase("hausdorff", art_.hausdorff_sec);
+  if (art_.validation) man.add_phase("validate", art_.validate_sec);
   man.metrics = art_.metrics;
   if (!art_.error.empty()) man.notes = art_.error;
   return man;

@@ -81,6 +81,9 @@ struct JobArtifacts {
   bool edt_cache_hit = false;
   double queue_wait_sec = 0.0;  ///< filled by the serving layer
   double smooth_sec = 0.0;
+  double quality_sec = 0.0;
+  double hausdorff_sec = 0.0;
+  double validate_sec = 0.0;
   std::optional<SmoothingReport> smoothing;
   std::optional<QualityReport> quality;
   std::optional<HausdorffResult> hausdorff;

@@ -390,6 +390,31 @@ TEST(ServeMeshJob, RunsAndBuildsManifest) {
   EXPECT_GT(parsed["metrics"]["mesh.tets"].as_int(), 0);
 }
 
+TEST(ServeMeshJob, ManifestTimesReportsAndValidation) {
+  const auto phase_names = [](const MeshJob& job) {
+    std::vector<std::string> names;
+    for (const auto& [name, sec] : job.build_manifest("serve_test").phases) {
+      EXPECT_GE(sec, 0.0) << name;
+      names.push_back(name);
+    }
+    return names;
+  };
+  MeshJob plain(small_ball_spec());
+  ASSERT_TRUE(plain.run().ok) << plain.artifacts().error;
+  EXPECT_EQ(phase_names(plain).back(), "refine");
+
+  JobSpec spec = small_ball_spec();
+  spec.want_report = true;
+  spec.want_validation = true;
+  MeshJob job(std::move(spec));
+  ASSERT_TRUE(job.run().ok) << job.artifacts().error;
+  const std::vector<std::string> names = phase_names(job);
+  ASSERT_GE(names.size(), 4u);
+  EXPECT_EQ(std::vector<std::string>(names.end() - 4, names.end()),
+            (std::vector<std::string>{"refine", "quality", "hausdorff",
+                                      "validate"}));
+}
+
 TEST(ServeMeshJob, PreSetCancelTokenAbortsRefinement) {
   std::atomic<bool> cancel{true};
   MeshJob job(small_ball_spec());

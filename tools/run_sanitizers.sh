@@ -22,7 +22,8 @@ run_one() {
   cmake --build "$dir" -j "$(nproc)" --target \
     delaunay_test runtime_test torture_test property_test \
     staged_predicates_test predicates_simd_test telemetry_test check_test \
-    classify_cache_test serve_test lattice_test pi2m_fuzz
+    classify_cache_test serve_test lattice_test hausdorff_threads_test \
+    pi2m_fuzz
   # halt_on_error: fail the test run on the first report instead of racing on.
   TSAN_OPTIONS="halt_on_error=1 second_deadlock_stack=1" \
   ASAN_OPTIONS="halt_on_error=1 detect_leaks=0" \
