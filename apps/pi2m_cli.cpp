@@ -347,6 +347,11 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(t.insertions),
                 static_cast<unsigned long long>(t.removals),
                 static_cast<unsigned long long>(t.rollbacks));
+    if (art.outcome.lattice_seeds > 0) {
+      std::printf("seeding: %zu of %zu interface seeds deferred by lock "
+                  "conflicts\n",
+                  art.outcome.lattice_seed_deferred, art.outcome.lattice_seeds);
+    }
     std::printf("overhead: contention %.2fs, load-balance %.2fs, rollback "
                 "%.2fs\n",
                 t.contention_sec, t.loadbalance_sec, t.rollback_sec);

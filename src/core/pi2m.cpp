@@ -164,6 +164,7 @@ MeshingResult mesh_image(const LabeledImage3D& img, const MeshingOptions& opt,
   res.outcome = refiner.refine();
   res.mesh = extract_mesh(refiner.mesh(), refiner.oracle(), opt.threads,
                           refiner.lattice());
+  res.oracle = refiner.shared_oracle();
   return res;
 }
 

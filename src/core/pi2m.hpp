@@ -98,6 +98,9 @@ struct MeshingOptions {
 struct MeshingResult {
   TetMesh mesh;
   RefineOutcome outcome;
+  /// The oracle the mesh was refined against (the warm one when passed in),
+  /// reusable for smoothing and fidelity reports.
+  std::shared_ptr<const IsosurfaceOracle> oracle;
   [[nodiscard]] bool ok() const { return outcome.completed; }
   [[nodiscard]] double elements_per_sec() const {
     return outcome.wall_sec > 0 ? static_cast<double>(mesh.num_tets()) /

@@ -381,6 +381,15 @@ void Refiner::idle_protocol(int tid) {
       wake_all_workers();
       break;
     }
+    // A thread may have blocked in the CM while this one was turning idle
+    // (the CM's admission check read the idle count first). If every
+    // thread is now blocked or idle, nobody else would ever wake it.
+    const int blocked = cm_->blocked_count();
+    if (blocked > 0 &&
+        blocked + idle_count_.load(std::memory_order_acquire) >=
+            opt_.threads) {
+      cm_->wake_one();
+    }
     if (now_sec() < spin_deadline) {
       std::this_thread::yield();
       continue;
@@ -502,6 +511,7 @@ RefineOutcome Refiner::refine() {
   // any worker starts — both phases count toward the refinement wall time
   // (they replace refinement work, so benches must see their cost).
   double lattice_fill_sec = 0.0, lattice_seed_sec = 0.0;
+  std::size_t lattice_seed_deferred = 0;
   if (opt_.interior == InteriorFill::Lattice) {
     {
       PI2M_TRACE_SPAN("phase.lattice_fill", "phase");
@@ -517,7 +527,12 @@ RefineOutcome Refiner::refine() {
     } else {
       PI2M_TRACE_SPAN("phase.lattice_seed", "phase");
       const double t0 = now_sec();
-      lattice_->seed_interface(*mesh_, 0, ctxs_[0]->scratch);
+      // Thread t seeds with tid t through worker t's scratch, so the cell
+      // slots it retires land on the free list worker t refines with.
+      std::vector<OpScratch*> scratch;
+      scratch.reserve(ctxs_.size());
+      for (auto& c : ctxs_) scratch.push_back(&c->scratch);
+      lattice_seed_deferred = lattice_->seed_interface(*mesh_, scratch);
       lattice_seed_sec = now_sec() - t0;
       opt_.rules.lattice = lattice_.get();
     }
@@ -572,6 +587,7 @@ RefineOutcome Refiner::refine() {
     out.lattice_seeds = ls.interface_vertices;
     out.lattice_fill_sec = lattice_fill_sec;
     out.lattice_seed_sec = lattice_seed_sec;
+    out.lattice_seed_deferred = lattice_seed_deferred;
   }
   out.totals = aggregate(stats_);
   out.timeline = timeline_;

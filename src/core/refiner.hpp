@@ -135,7 +135,10 @@ struct RefineOutcome {
   std::size_t lattice_tets = 0;        ///< template tets the extraction appends
   std::size_t lattice_seeds = 0;       ///< protected interface vertices
   double lattice_fill_sec = 0.0;       ///< occupancy + template instantiation
-  double lattice_seed_sec = 0.0;       ///< sequential interface seeding
+  double lattice_seed_sec = 0.0;       ///< interface seeding (BRIO rounds)
+  /// Seeds of the concurrent rounds that conflicted and were re-inserted by
+  /// the calling thread after their round (see LatticeFill::seed_interface).
+  std::size_t lattice_seed_deferred = 0;
 };
 
 class Refiner {
@@ -158,6 +161,11 @@ class Refiner {
   [[nodiscard]] DelaunayMesh& mesh() { return *mesh_; }
   [[nodiscard]] const DelaunayMesh& mesh() const { return *mesh_; }
   [[nodiscard]] const IsosurfaceOracle& oracle() const { return *oracle_; }
+  /// Shared handle on the same oracle, so post-processing can outlive the
+  /// refiner without a second feature transform.
+  [[nodiscard]] std::shared_ptr<const IsosurfaceOracle> shared_oracle() const {
+    return oracle_;
+  }
   [[nodiscard]] const RefinerOptions& options() const { return opt_; }
   /// The hybrid interior fill this run refined against; null for pure
   /// Delaunay runs (or an empty band). Extraction stitches against it.

@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <cmath>
+#include <numeric>
 
 #include "check/oplog.hpp"
 #include "support/common.hpp"
@@ -29,8 +31,7 @@ namespace lattice {
 namespace {
 
 /// Doubled-integer lattice point keys, 21 bits per axis (even coordinates =
-/// cube corners, odd = cube centers). Key order is z-major scanline order,
-/// so sorted seeding walks the mesh with good locality.
+/// cube corners, odd = cube centers), z-major.
 constexpr int kAxisBits = 21;
 constexpr std::uint64_t kAxisMask = (std::uint64_t{1} << kAxisBits) - 1;
 
@@ -55,6 +56,61 @@ constexpr double kBandCubes = 2.7;
 
 /// Memory ceiling for the cube grid (label + erosion bytes per cube).
 constexpr std::size_t kMaxCubes = std::size_t{1} << 24;
+
+/// BRIO round count: rounds are added while the sparsest round would still
+/// expect at least this many seeds.
+constexpr std::size_t kBrioFirstRound = 64;
+
+/// Rounds with at least this many seeds are inserted concurrently, one
+/// Morton block per thread; smaller ones run on the calling thread, where
+/// thread start-up and block-boundary conflicts would cost more than the
+/// parallelism saves.
+constexpr std::size_t kParallelRound = 2048;
+
+/// splitmix64 finalizer: the fixed key hash that picks a seed's round.
+std::uint64_t mix64(std::uint64_t x) {
+  x ^= x >> 30;
+  x *= 0xbf58476d1ce4e5b9ull;
+  x ^= x >> 27;
+  x *= 0x94d049bb133111ebull;
+  return x ^ (x >> 31);
+}
+
+/// Spreads the low 21 bits of v to every third bit (Morton interleave).
+std::uint64_t spread3(std::uint64_t v) {
+  v &= kAxisMask;
+  v = (v | v << 32) & 0x1f00000000ffffull;
+  v = (v | v << 16) & 0x1f0000ff0000ffull;
+  v = (v | v << 8) & 0x100f00f00f00f00full;
+  v = (v | v << 4) & 0x10c30c30c30c30c3ull;
+  v = (v | v << 2) & 0x1249249249249249ull;
+  return v;
+}
+
+std::uint64_t morton_of(std::uint64_t key) {
+  std::int64_t dx, dy, dz;
+  unpack_key(key, dx, dy, dz);
+  return spread3(static_cast<std::uint64_t>(dx)) |
+         spread3(static_cast<std::uint64_t>(dy)) << 1 |
+         spread3(static_cast<std::uint64_t>(dz)) << 2;
+}
+
+/// Inserts one seed on the calling thread, retrying transient outcomes.
+/// Seeding owns the mesh at this point (no concurrent operation), so
+/// anything but Success is a kernel failure.
+VertexId insert_seed(DelaunayMesh& mesh, const Vec3& p, CellId& hint,
+                     OpScratch& scratch) {
+  OpResult res;
+  int attempts = 0;
+  do {
+    res = insert_point(mesh, p, VertexKind::Lattice, hint, 0, scratch);
+  } while (res.status != OpStatus::Success &&
+           res.status != OpStatus::Failed && ++attempts < 64);
+  PI2M_CHECK(res.status == OpStatus::Success,
+             "lattice interface seed insertion failed");
+  hint = scratch.created.front();
+  return res.new_vertex;
+}
 
 }  // namespace
 
@@ -271,6 +327,35 @@ void LatticeFill::collect_seed_keys() {
   seed_keys_.erase(std::unique(seed_keys_.begin(), seed_keys_.end()),
                    seed_keys_.end());
   stats_.interface_vertices = seed_keys_.size();
+
+  // Insertion order (BRIO): a seed lands in the last round with
+  // probability 1/2, the one before with 1/4, and so on, the first round
+  // taking the remainder; each round is Morton-sorted. Sparse rounds first
+  // keep cavities small on the cospherical lattice, where a sweep in key
+  // order drags a wide front of degenerate cells along.
+  const std::size_t n = seed_keys_.size();
+  int rounds = 1;
+  while ((n >> rounds) >= kBrioFirstRound) ++rounds;
+  struct Slot {
+    int round;
+    std::uint64_t morton, key;
+  };
+  std::vector<Slot> order;
+  order.reserve(n);
+  for (const std::uint64_t key : seed_keys_) {
+    const int from_last =
+        std::min(std::countr_one(mix64(key)), rounds - 1);
+    order.push_back({rounds - 1 - from_last, morton_of(key), key});
+  }
+  std::sort(order.begin(), order.end(), [](const Slot& a, const Slot& b) {
+    return a.round != b.round ? a.round < b.round : a.morton < b.morton;
+  });
+  round_end_.assign(static_cast<std::size_t>(rounds), 0);
+  for (std::size_t i = 0; i < n; ++i) {
+    seed_keys_[i] = order[i].key;
+    ++round_end_[static_cast<std::size_t>(order[i].round)];
+  }
+  std::partial_sum(round_end_.begin(), round_end_.end(), round_end_.begin());
 }
 
 bool LatticeFill::contains(const Vec3& p, Label* label) const {
@@ -336,29 +421,58 @@ bool LatticeFill::protects(const Vec3& p) const {
   return false;
 }
 
-std::size_t LatticeFill::seed_interface(DelaunayMesh& mesh, int tid,
-                                        OpScratch& scratch) {
-  if (seed_keys_.empty()) return 0;
-  seeded_.reserve(seed_keys_.size());
+std::size_t LatticeFill::seed_interface(
+    DelaunayMesh& mesh, const std::vector<OpScratch*>& scratch) {
+  std::size_t deferred = 0;
+  if (seed_keys_.empty()) return deferred;
+  const int threads = static_cast<int>(scratch.size());
+  PI2M_CHECK(threads >= 1, "seed_interface needs a scratch per thread");
+  std::vector<VertexId> vid(seed_keys_.size(), kNoVertex);
+  // Per-thread walk hint, carried across rounds: every round is a uniform
+  // sample of the cloud, so block t covers about the same region each time.
+  std::vector<CellId> hint(scratch.size(), any_alive_cell(mesh, 0));
   // Rule tag 7 in the op log: not one of R1-R6, identifies lattice
   // interface seeds in recorded runs (replay treats it as a plain insert).
   check::set_current_rule(7);
-  CellId hint = any_alive_cell(mesh, 0);
-  for (const std::uint64_t key : seed_keys_) {
-    const Vec3 p = point_of(key);
-    OpResult res;
-    int attempts = 0;
-    do {
-      res = insert_point(mesh, p, VertexKind::Lattice, hint, tid, scratch);
-    } while (res.status != OpStatus::Success &&
-             res.status != OpStatus::Failed && ++attempts < 64);
-    PI2M_CHECK(res.status == OpStatus::Success,
-               "lattice interface seed insertion failed");
-    seeded_.emplace(key, res.new_vertex);
-    if (!scratch.created.empty()) hint = scratch.created.front();
+  std::size_t begin = 0;
+  for (const std::size_t end : round_end_) {
+    const std::size_t len = end - begin;
+    if (threads > 1 && len >= kParallelRound) {
+      // Mirrors parallel_blocks' chunking: block lo / chunk is thread tid.
+      const std::size_t chunk = (len + scratch.size() - 1) / scratch.size();
+      parallel_blocks(len, threads, [&](std::size_t lo, std::size_t hi) {
+        const int tid = static_cast<int>(lo / chunk);
+        check::set_current_rule(7);
+        OpScratch& s = *scratch[static_cast<std::size_t>(tid)];
+        CellId& h = hint[static_cast<std::size_t>(tid)];
+        for (std::size_t i = begin + lo; i < begin + hi; ++i) {
+          const OpResult r = insert_point(mesh, point_of(seed_keys_[i]),
+                                          VertexKind::Lattice, h, tid, s);
+          if (r.status != OpStatus::Success) continue;  // deferred
+          vid[i] = r.new_vertex;
+          h = s.created.front();
+        }
+      });
+      for (std::size_t i = begin; i < end; ++i) {
+        if (vid[i] == kNoVertex) ++deferred;
+      }
+    }
+    // Small rounds whole, parallel rounds' deferred seeds: in order, on the
+    // calling thread, with the rest of the mesh quiescent.
+    for (std::size_t i = begin; i < end; ++i) {
+      if (vid[i] != kNoVertex) continue;
+      vid[i] = insert_seed(mesh, point_of(seed_keys_[i]), hint[0],
+                           *scratch[0]);
+    }
+    begin = end;
   }
   check::set_current_rule(0);
-  return seeded_.size();
+
+  seeded_.reserve(seed_keys_.size());
+  for (std::size_t i = 0; i < seed_keys_.size(); ++i) {
+    seeded_.emplace(seed_keys_[i], vid[i]);
+  }
+  return deferred;
 }
 
 VertexId LatticeFill::seeded_vertex(std::uint64_t key) const {

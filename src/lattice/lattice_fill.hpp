@@ -10,13 +10,13 @@
 // costs an append, not a cavity operation.
 //
 // Conformity is by construction, not by stitch repair. The kernel is seeded
-// (pre-refinement, sequentially) with every lattice point on or near the
-// region boundary ∂L. Because the disphenoids ARE the Delaunay cells of the
-// BCC point set, every boundary disphenoid's circumsphere is strictly empty
-// of all other lattice points; the refinement rules are forbidden (via
-// `protects`) from inserting inside the guard zone covering those
-// circumspheres, so the boundary disphenoids are present verbatim in the
-// final kernel triangulation. Delaunay triangulations are face-to-face,
+// (pre-refinement, in BRIO rounds across the refiner's threads) with every
+// lattice point on or near the region boundary ∂L. Because the disphenoids
+// ARE the Delaunay cells of the BCC point set, every boundary disphenoid's
+// circumsphere is strictly empty of all other lattice points; the
+// refinement rules are forbidden (via `protects`) from inserting inside the
+// guard zone covering those circumspheres, so the boundary disphenoids are
+// present verbatim in the final kernel triangulation. Delaunay triangulations are face-to-face,
 // hence no kernel cell straddles ∂L and the lattice/shell interface is
 // watertight with shared vertex indices.
 //
@@ -69,8 +69,13 @@ struct LatticeStats {
 /// cube is automatically single-label). Each face between two occupied
 /// same-label cubes instantiates the 4 disphenoids of its bipyramid.
 ///
-/// Immutable after construction; concurrent `contains`/`protects` queries
-/// are safe.
+/// The interface points are ordered at construction for insertion:
+/// biased randomized insertion order (BRIO) rounds, sparsest first, each
+/// Morton-sorted. A fixed hash of the key picks the round, so the order
+/// does not depend on the thread count.
+///
+/// Immutable after construction except for the seeded-vertex table that
+/// seed_interface fills; concurrent `contains`/`protects` queries are safe.
 class LatticeFill {
  public:
   /// Builds occupancy + face tables from the EDT. `spacing` <= 0 selects
@@ -97,10 +102,25 @@ class LatticeFill {
 
   /// Inserts every interface lattice point (the "wall + rind": any used
   /// point whose cube neighbourhood is not fully deep) into the kernel as a
-  /// protected VertexKind::Lattice vertex. Sequential, in sorted-key order —
+  /// protected VertexKind::Lattice vertex, round by round in the BRIO
+  /// order. Thread t inserts with tid t through `*scratch[t]`; the calling
+  /// thread is thread 0. Rounds smaller than a fixed size run on the calling
+  /// thread. Larger ones are split into one contiguous Morton block per
+  /// thread and inserted concurrently with the lock-based insert_point; a
+  /// seed whose insertion does not commit (lock conflict) is deferred, and
+  /// the calling thread inserts the round's deferred seeds in order once
+  /// the round's threads have joined. Nothing is retried across threads, so
+  /// seeding cannot livelock. With one scratch the run is sequential and
   /// deterministic. Call once, pre-refinement, on the quiescent mesh.
-  /// Returns the number of seeded vertices.
-  std::size_t seed_interface(DelaunayMesh& mesh, int tid, OpScratch& scratch);
+  /// Returns the number of deferred seeds.
+  std::size_t seed_interface(DelaunayMesh& mesh,
+                             const std::vector<OpScratch*>& scratch);
+
+  /// Interface lattice point keys in insertion order (BRIO rounds,
+  /// Morton-sorted within each).
+  [[nodiscard]] const std::vector<std::uint64_t>& interface_keys() const {
+    return seed_keys_;
+  }
 
   /// Kernel vertex id of a seeded lattice point (kNoVertex when the key was
   /// not part of the seeded interface).
@@ -146,8 +166,10 @@ class LatticeFill {
   std::vector<std::uint8_t> deep_;
   /// Instantiated interior faces, packed (cube_index << 2) | axis.
   std::vector<std::uint64_t> faces_;
-  /// Interface lattice points, sorted by key (deterministic seed order).
+  /// Interface lattice points in insertion order; round r spans
+  /// [round_end_[r-1], round_end_[r]).
   std::vector<std::uint64_t> seed_keys_;
+  std::vector<std::size_t> round_end_;
   std::unordered_map<std::uint64_t, VertexId> seeded_;
   LatticeStats stats_;
 };

@@ -164,7 +164,6 @@ const JobArtifacts& MeshJob::run() {
   MeshingOptions opt = spec_.mesh;
   opt.cancel = cancel_;
   std::shared_ptr<const IsosurfaceOracle> warm;
-  std::shared_ptr<const IsosurfaceOracle> own_oracle;
   if (edt_cache_ != nullptr && !opt.use_reference_walks) {
     // The cache owns a stable image copy; mesh against *that* copy so the
     // pinned oracle and the refined image are the same object.
@@ -191,15 +190,10 @@ const JobArtifacts& MeshJob::run() {
     }
   }
 
-  // One oracle serves smoothing + fidelity; reuse the pinned one if any.
-  std::shared_ptr<const IsosurfaceOracle> post_oracle = warm;
-  const bool want_post =
-      art_.outcome.completed && (spec_.smooth > 0 || spec_.want_report);
-  if (want_post && post_oracle == nullptr) {
-    own_oracle = std::make_shared<const IsosurfaceOracle>(
-        *art_.image_view, std::max(1, opt.threads));
-    post_oracle = own_oracle;
-  }
+  // Smoothing + fidelity reuse the oracle the mesh was refined against
+  // (the pinned one on an EDT cache hit).
+  const std::shared_ptr<const IsosurfaceOracle> post_oracle =
+      std::move(res.oracle);
 
   // --- optional smoothing ---
   if (art_.outcome.completed && spec_.smooth > 0) {

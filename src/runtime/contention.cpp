@@ -13,6 +13,10 @@ namespace {
 /// Blocking a thread is only safe when at least one other thread remains
 /// active (neither CM-blocked nor idle); otherwise the would-be waker may
 /// never run (paper §5.3's active-thread rule, applied to all blocking CMs).
+/// Blockers take their slot under a mutex, so blockers alone never exceed
+/// nthreads - 1; a thread turning idle after this check is read can still
+/// leave everyone blocked or idle, which the idle loop resolves by calling
+/// wake_one (see Refiner::idle_protocol).
 bool may_block(const CmContext& ctx, int currently_blocked) {
   const int idle =
       ctx.idle_threads ? ctx.idle_threads->load(std::memory_order_acquire) : 0;
@@ -84,13 +88,15 @@ class GlobalCm final : public ContentionManager {
     PerThread& me = per_thread_[tid];
     me.successes = 0;
     if (!may_block(ctx_, blocked_.load(std::memory_order_acquire))) return;
-
-    me.wait.store(true, std::memory_order_release);
     {
+      // Admission is re-checked and taken under the CL mutex: two threads
+      // that both passed the check above must not both take the last slot.
       std::lock_guard<std::mutex> lk(mutex_);
+      if (!may_block(ctx_, blocked_.load(std::memory_order_acquire))) return;
+      me.wait.store(true, std::memory_order_release);
       queue_.push_back(tid);
+      blocked_.fetch_add(1, std::memory_order_acq_rel);
     }
-    blocked_.fetch_add(1, std::memory_order_acq_rel);
     telemetry::Span cm_span("cm.wait", "cm");
     const double t0 = now_sec();
     while (me.wait.load(std::memory_order_acquire) &&
@@ -168,26 +174,25 @@ class LocalCm final : public ContentionManager {
     PerThread& other = per_thread_[conflicting];
     PerThread& first = per_thread_[std::max(tid, conflicting)];
     PerThread& second = per_thread_[std::min(tid, conflicting)];
-    bool will_block;
     {
-      std::scoped_lock lk(first.mutex, second.mutex);
-      if (other.busy_wait.load(std::memory_order_acquire)) {
+      // Admission is re-checked and taken under one mutex: two threads that
+      // both passed the check above must not both take the last slot.
+      std::lock_guard<std::mutex> admit(admit_mutex_);
+      if (!may_block(ctx_, blocked_.load(std::memory_order_acquire))) return;
+      {
+        std::scoped_lock lk(first.mutex, second.mutex);
         // The thread we depend on has itself decided to block: blocking too
         // could close a dependency cycle, so we must not (paper Fig. 2c
         // lines 6-10; Lemma 1).
-        will_block = false;
-      } else {
+        if (other.busy_wait.load(std::memory_order_acquire)) return;
         me.busy_wait.store(true, std::memory_order_release);
-        will_block = true;
       }
+      {
+        std::lock_guard<std::mutex> lk(other.cl_mutex);
+        other.cl.push_back(tid);
+      }
+      blocked_.fetch_add(1, std::memory_order_acq_rel);
     }
-    if (!will_block) return;
-
-    {
-      std::lock_guard<std::mutex> lk(other.cl_mutex);
-      other.cl.push_back(tid);
-    }
-    blocked_.fetch_add(1, std::memory_order_acq_rel);
     telemetry::Span cm_span("cm.wait", "cm");
     cm_span.set_arg("on", static_cast<std::uint64_t>(conflicting));
     const double t0 = now_sec();
@@ -247,6 +252,7 @@ class LocalCm final : public ContentionManager {
   CmContext ctx_;
   int s_plus_;
   std::vector<PerThread> per_thread_;
+  std::mutex admit_mutex_;  // makes the may_block check + block one step
   std::atomic<int> blocked_{0};
 };
 

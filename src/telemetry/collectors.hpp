@@ -76,6 +76,7 @@ inline void collect_outcome(MetricsRegistry& r, const RefineOutcome& o) {
   r.set("lattice.interface_vertices", o.lattice_seeds);
   r.set("lattice.fill_sec", o.lattice_fill_sec);
   r.set("lattice.seed_sec", o.lattice_seed_sec);
+  r.set("lattice.seed_deferred", o.lattice_seed_deferred);
 }
 
 inline void collect_predicates(MetricsRegistry& r,

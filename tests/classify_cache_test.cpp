@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <optional>
 #include <random>
 #include <thread>
@@ -19,6 +20,7 @@
 #include "delaunay/operations.hpp"
 #include "imaging/isosurface.hpp"
 #include "imaging/phantom.hpp"
+#include "op_retry.hpp"
 
 namespace pi2m {
 namespace {
@@ -159,6 +161,13 @@ TEST_P(CacheCoherence, CachedClassifyMatchesFresh) {
   cfg.delta = 2.0;
   CellGeomCache cache(mesh.cell_capacity());
 
+  // Every planned operation is retried until it commits or fails for good
+  // (tests/op_retry.hpp), so the mesh reaches the same vertex count however
+  // the threads were scheduled.
+  constexpr int kOps = 400;  // per thread; every 3rd removes (i % 3 == 2)
+  std::atomic<int> ins{0}, ins_failed{0}, rem{0}, rem_failed{0};
+  std::atomic<bool> hung{false};
+  const auto deadline = std::chrono::steady_clock::now() + test::kHangGuard;
   std::vector<std::thread> pool;
   pool.reserve(static_cast<std::size_t>(kThreads));
   for (int t = 0; t < kThreads; ++t) {
@@ -168,23 +177,40 @@ TEST_P(CacheCoherence, CachedClassifyMatchesFresh) {
       std::uniform_real_distribution<double> u(1.0, 19.0);
       std::vector<VertexId> mine;
       CellId hint = 0;
-      for (int i = 0; i < 400; ++i) {
+      for (int i = 0; i < kOps; ++i) {
         if (!mine.empty() && i % 3 == 2) {
-          if (remove_vertex(mesh, mine.back(), t, s).status ==
-              OpStatus::Success) {
-            mine.pop_back();
-          }
-        } else {
-          const OpResult r =
-              insert_point(mesh, {u(rng), u(rng), u(rng)},
-                           VertexKind::Circumcenter, hint, t, s);
-          if (r.status == OpStatus::Success) {
-            mine.push_back(r.new_vertex);
-            hint = s.created.front();
-          } else if (r.status == OpStatus::Conflict) {
-            std::this_thread::yield();
+          const VertexId victim = mine.back();
+          mine.pop_back();
+          const OpResult r = test::retry_until_done(
+              [&] { return remove_vertex(mesh, victim, t, s); }, deadline);
+          if (r.status == OpStatus::Failed) {
+            rem_failed.fetch_add(1);  // degenerate or hull-adjacent ball
             continue;
           }
+          if (r.status != OpStatus::Success) {
+            hung.store(true);
+            return;
+          }
+          rem.fetch_add(1);
+        } else {
+          const Vec3 p{u(rng), u(rng), u(rng)};
+          const OpResult r = test::retry_until_done(
+              [&] {
+                return insert_point(mesh, p, VertexKind::Circumcenter, hint,
+                                    t, s);
+              },
+              deadline);
+          if (r.status == OpStatus::Failed) {
+            ins_failed.fetch_add(1);
+            continue;
+          }
+          if (r.status != OpStatus::Success) {
+            hung.store(true);
+            return;
+          }
+          ins.fetch_add(1);
+          mine.push_back(r.new_vertex);
+          hint = s.created.front();
         }
         // Classify the freshly created cells through the shared cache:
         // this races with other threads retiring/recycling those slots,
@@ -196,9 +222,18 @@ TEST_P(CacheCoherence, CachedClassifyMatchesFresh) {
     });
   }
   for (auto& th : pool) th.join();
+  ASSERT_FALSE(hung.load()) << "an operation was still retrying at the guard";
   ASSERT_EQ(mesh.check_integrity(/*check_delaunay=*/false), "");
+  // Every insert commits (general position), so each thread removes on
+  // exactly the i % 3 == 2 steps and the mesh ends with a fixed number of
+  // inserted vertices, minus the removals that were refused.
+  EXPECT_EQ(ins_failed.load(), 0);
+  EXPECT_EQ(ins.load(), kThreads * (kOps - kOps / 3));
+  EXPECT_EQ(rem.load() + rem_failed.load(), kThreads * (kOps / 3));
+  const std::size_t live = test::live_inner_vertices(mesh);
+  ASSERT_EQ(live, static_cast<std::size_t>(ins.load() - rem.load()));
 
-  int checked = 0;
+  std::size_t checked = 0;
   mesh.for_each_alive_cell([&](CellId c) {
     const Classification fresh =
         classify_cell(mesh, c, oracle, iso_grid, cfg);
@@ -215,7 +250,10 @@ TEST_P(CacheCoherence, CachedClassifyMatchesFresh) {
         << "cell " << c << " (warm pass)";
     ++checked;
   });
-  EXPECT_GT(checked, 200);
+  // Every alive cell was compared, and there are at least as many as the
+  // inserted vertices (each has >= 4 incident cells, each cell 4 corners).
+  EXPECT_EQ(checked, mesh.count_alive_cells());
+  EXPECT_GE(checked, live);
 
   const CellGeomCache::CounterTotals totals = cache.totals();
   EXPECT_GT(totals.hits + totals.misses, 0u);

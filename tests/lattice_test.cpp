@@ -2,9 +2,10 @@
 // geometry (positive orientation, disphenoid dihedral floor), the fidelity
 // band (no template vertex within 2δ of ∂O), the stitched mesh's
 // watertightness/validation, Hausdorff parity with the pure-Delaunay mode,
-// the byte-identical degradation when no deep-interior band exists, and a
-// multi-threaded hybrid run under the exact-arithmetic auditor (run under
-// TSan/ASan via the `sanitize` label).
+// the byte-identical degradation when no deep-interior band exists, the
+// interface seeding at 1/2/4 threads, and a multi-threaded hybrid run under
+// the exact-arithmetic auditor (run under TSan/ASan via the `sanitize`
+// label).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -12,6 +13,8 @@
 #include <cstring>
 #include <set>
 
+#include "check/auditor.hpp"
+#include "check/snapshot.hpp"
 #include "core/pi2m.hpp"
 #include "core/refiner.hpp"
 #include "core/validate.hpp"
@@ -138,6 +141,110 @@ TEST(LatticeFill, HybridMeshIsWatertightAndAuditClean) {
       EXPECT_NE(tm.point_kinds[vi], VertexKind::Lattice);
     }
   }
+}
+
+/// Seeding tests run at a finer δ than the rest: the smaller lattice
+/// spacing yields enough interface points that the densest BRIO rounds are
+/// split across threads.
+constexpr double kSeedDelta = 0.5;
+
+/// Seeds `img`'s interface lattice points into a fresh kernel mesh with
+/// `threads` seeding threads, checks the seeded triangulation, and returns
+/// its canonical snapshot hash.
+std::uint64_t seed_and_check(const LabeledImage3D& img, int threads) {
+  const IsosurfaceOracle oracle(img, 2);
+  lattice::LatticeFill fill(oracle, kSeedDelta, 0.0, 4);
+  const std::size_t n = fill.stats().interface_vertices;
+  EXPECT_GT(n, 0u);
+  // The insertion order is a property of the point set alone, not of the
+  // thread count the fill was built with.
+  EXPECT_EQ(fill.interface_keys(),
+            lattice::LatticeFill(oracle, kSeedDelta, 0.0, 1).interface_keys());
+
+  const Aabb ib = img.bounds();
+  DelaunayMesh mesh(ib.inflated(0.15 * norm(ib.extent())), 1u << 20,
+                    1u << 23, /*arena_block=*/256);
+  std::vector<OpScratch> scratch(static_cast<std::size_t>(threads));
+  std::vector<OpScratch*> ptrs;
+  for (OpScratch& s : scratch) ptrs.push_back(&s);
+  const std::size_t deferred = fill.seed_interface(mesh, ptrs);
+  if (threads == 1) {
+    EXPECT_EQ(deferred, 0u);
+  }
+  EXPECT_LE(deferred, n);
+
+  // Every interface key is a live lattice vertex at exactly point_of(key),
+  // and the kernel holds no other lattice vertex.
+  std::set<VertexId> ids;
+  for (const std::uint64_t key : fill.interface_keys()) {
+    const VertexId v = fill.seeded_vertex(key);
+    EXPECT_NE(v, kNoVertex);
+    if (v == kNoVertex) continue;
+    const Vertex& vx = mesh.vertex(v);
+    EXPECT_FALSE(vx.dead.load());
+    EXPECT_EQ(vx.kind, VertexKind::Lattice);
+    const Vec3 q = fill.point_of(key);
+    EXPECT_EQ(std::memcmp(&q, &vx.pos, sizeof(Vec3)), 0);
+    ids.insert(v);
+  }
+  EXPECT_EQ(ids.size(), n);
+  std::size_t live_lattice = 0;
+  for (VertexId v = 0; v < mesh.vertex_count(); ++v) {
+    const Vertex& vx = mesh.vertex(v);
+    if (!vx.dead.load() && vx.kind == VertexKind::Lattice) ++live_lattice;
+    // No seeding thread leaked a vertex lock.
+    EXPECT_EQ(vx.owner.load(), -1) << "leaked lock on " << v;
+  }
+  EXPECT_EQ(live_lattice, n);
+
+  // Full structural audit with the exact local Delaunay check on every face.
+  check::InvariantAuditor auditor(mesh, /*insphere_sample=*/1);
+  const check::AuditReport rep = auditor.audit_full();
+  EXPECT_TRUE(rep.ok) << (rep.errors.empty() ? "" : rep.errors.front());
+
+  // A disphenoid's circumsphere is strictly empty of every other BCC
+  // point, so each template tet whose four corners were all seeded is a
+  // kernel cell, whatever the insertion order was.
+  std::set<std::array<VertexId, 4>> cells;
+  mesh.for_each_alive_cell([&](CellId c) {
+    std::array<VertexId, 4> v = mesh.cell(c).v;
+    std::sort(v.begin(), v.end());
+    cells.insert(v);
+  });
+  std::size_t all_seeded = 0, missing = 0;
+  fill.for_each_tet([&](const std::array<std::uint64_t, 4>& keys,
+                        const std::array<Vec3, 4>&, Label) {
+    std::array<VertexId, 4> v;
+    for (int i = 0; i < 4; ++i) {
+      v[static_cast<std::size_t>(i)] = fill.seeded_vertex(keys[i]);
+      if (v[static_cast<std::size_t>(i)] == kNoVertex) return;
+    }
+    std::sort(v.begin(), v.end());
+    ++all_seeded;
+    if (cells.count(v) == 0) ++missing;
+  });
+  EXPECT_GT(all_seeded, 0u);
+  EXPECT_EQ(missing, 0u) << "of " << all_seeded << " all-seeded disphenoids";
+
+  return check::snapshot_hash(check::snapshot_mesh(mesh));
+}
+
+class LatticeSeeding : public ::testing::TestWithParam<int> {};
+
+TEST_P(LatticeSeeding, EllipsoidInterfaceIsConformingAndAuditClean) {
+  seed_and_check(volume_phantom(), GetParam());
+}
+
+TEST_P(LatticeSeeding, ThickShellInterfaceIsConformingAndAuditClean) {
+  static const LabeledImage3D img = phantom::thick_shell(64);
+  seed_and_check(img, GetParam());
+}
+
+INSTANTIATE_TEST_SUITE_P(Threads, LatticeSeeding, ::testing::Values(1, 2, 4));
+
+TEST(LatticeSeedingDeterminism, OneThreadRunsAreIdentical) {
+  EXPECT_EQ(seed_and_check(volume_phantom(), 1),
+            seed_and_check(volume_phantom(), 1));
 }
 
 TEST(LatticeFill, HybridMatchesDelaunayFidelity) {

@@ -172,6 +172,47 @@ TEST(ContentionManager, GlobalNeverBlocksLastActiveThread) {
   EXPECT_EQ(cm->blocked_count(), 0);
 }
 
+// Threads 0 and 1 roll back at once while thread 2 is idle: one of them
+// must stay active, so however their admission checks interleave, the first
+// admitted blocks (blocked + idle + 1 < 3) and the other is refused.
+void expect_one_blocker_for_last_slot(CmKind kind) {
+  for (int round = 0; round < 200; ++round) {
+    CmFixture f;
+    f.idle.store(1);
+    auto cm = make_contention_manager(kind, f.ctx(3), 5, /*s_plus=*/1000);
+    ThreadStats st[2];
+    std::atomic<int> ready{0}, returned{0};
+    auto rollback = [&](int tid) {
+      ready.fetch_add(1);
+      while (ready.load() < 2) std::this_thread::yield();
+      cm->on_rollback(tid, /*conflicting=*/2, st[tid]);
+      returned.fetch_add(1);
+    };
+    std::thread a(rollback, 0);
+    std::thread b(rollback, 1);
+    // Settled once each thread has returned or is queued; both queued is the
+    // failure, so the wait is bounded.
+    const double deadline = now_sec() + 10.0;
+    while (returned.load() + cm->blocked_count() < 2 && now_sec() < deadline) {
+      std::this_thread::yield();
+    }
+    EXPECT_EQ(returned.load(), 1) << "round " << round;
+    EXPECT_EQ(cm->blocked_count(), 1) << "round " << round;
+    cm->wake_all();
+    a.join();
+    b.join();
+    ASSERT_EQ(returned.load(), 2);
+  }
+}
+
+TEST(ContentionManager, GlobalAdmitsOneBlockerForTheLastSlot) {
+  expect_one_blocker_for_last_slot(CmKind::Global);
+}
+
+TEST(ContentionManager, LocalAdmitsOneBlockerForTheLastSlot) {
+  expect_one_blocker_for_last_slot(CmKind::Local);
+}
+
 TEST(ContentionManager, LocalBreaksTwoCycle) {
   // T0 -> T1 and T1 -> T0 concurrently: by Lemma 1 at least one must not
   // block; by Lemma 2 (with a 3rd active thread present) at most one runs

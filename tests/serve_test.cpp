@@ -415,6 +415,41 @@ TEST(ServeMeshJob, ManifestTimesReportsAndValidation) {
                                       "validate"}));
 }
 
+// Smoothing and the reports run on the oracle the mesh was refined
+// against; they must match what a second, freshly built oracle (a second
+// EDT of the same image) gives on the same single-threaded mesh.
+TEST(ServeMeshJob, ReportsReuseTheRefinementOracle) {
+  JobSpec spec = small_ball_spec(32, 1);
+  spec.smooth = 2;
+  spec.want_report = true;
+  MeshJob job(spec);
+  const JobArtifacts& art = job.run();
+  ASSERT_TRUE(art.ok) << art.error;
+  ASSERT_TRUE(art.smoothing && art.quality && art.hausdorff);
+
+  MeshingResult res = mesh_image(job.image(), spec.mesh);
+  ASSERT_TRUE(res.ok());
+  ASSERT_NE(res.oracle, nullptr);
+  const IsosurfaceOracle second(job.image(), spec.mesh.threads);
+  SmoothingOptions sopt;
+  sopt.iterations = spec.smooth;
+  sopt.threads = spec.mesh.threads;
+  const SmoothingReport sm = smooth_mesh(res.mesh, second, sopt);
+  const QualityReport q = evaluate_quality(res.mesh);
+  const HausdorffResult h = hausdorff_distance(res.mesh, second, 2);
+
+  EXPECT_EQ(art.mesh.points, res.mesh.points);
+  EXPECT_EQ(art.mesh.tets, res.mesh.tets);
+  EXPECT_EQ(art.smoothing->moves_accepted, sm.moves_accepted);
+  EXPECT_EQ(art.smoothing->moves_rejected, sm.moves_rejected);
+  EXPECT_EQ(art.smoothing->min_dihedral_after, sm.min_dihedral_after);
+  EXPECT_EQ(art.quality->max_radius_edge, q.max_radius_edge);
+  EXPECT_EQ(art.quality->min_dihedral_deg, q.min_dihedral_deg);
+  EXPECT_EQ(art.quality->min_boundary_planar_deg, q.min_boundary_planar_deg);
+  EXPECT_EQ(art.hausdorff->mesh_to_surface, h.mesh_to_surface);
+  EXPECT_EQ(art.hausdorff->surface_to_mesh, h.surface_to_mesh);
+}
+
 TEST(ServeMeshJob, PreSetCancelTokenAbortsRefinement) {
   std::atomic<bool> cancel{true};
   MeshJob job(small_ball_spec());
