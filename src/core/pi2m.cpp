@@ -3,6 +3,7 @@
 #include <unordered_map>
 
 #include "geometry/tetra.hpp"
+#include "runtime/stats.hpp"
 #include "support/parallel_for.hpp"
 #include "telemetry/telemetry.hpp"
 
@@ -46,15 +47,18 @@ TetMesh extract_mesh(const DelaunayMesh& mesh, const IsosurfaceOracle& oracle,
   // triangles. Faces are emitted from the side with the smaller label so
   // each interface triangle appears once; lattice-covered neighbours never
   // emit themselves, so the kept side emits whenever labels differ.
+  // Output vertices are numbered in first-touch order through a dense table
+  // indexed by kernel vertex id.
   TetMesh out;
-  std::unordered_map<VertexId, std::uint32_t> remap;
+  constexpr std::uint32_t kUnmapped = 0xFFFFFFFFu;
+  std::vector<std::uint32_t> remap(mesh.vertex_count(), kUnmapped);
   auto map_vertex = [&](VertexId v) {
-    auto it = remap.find(v);
-    if (it != remap.end()) return it->second;
-    const auto idx = static_cast<std::uint32_t>(out.points.size());
-    out.points.push_back(mesh.vertex(v).pos);
-    out.point_kinds.push_back(mesh.vertex(v).kind);
-    remap.emplace(v, idx);
+    std::uint32_t& idx = remap[v];
+    if (idx == kUnmapped) {
+      idx = static_cast<std::uint32_t>(out.points.size());
+      out.points.push_back(mesh.vertex(v).pos);
+      out.point_kinds.push_back(mesh.vertex(v).kind);
+    }
     return idx;
   };
 
@@ -162,8 +166,10 @@ MeshingResult mesh_image(const LabeledImage3D& img, const MeshingOptions& opt,
   Refiner refiner(img, to_refiner_options(opt), std::move(warm_oracle));
   MeshingResult res;
   res.outcome = refiner.refine();
+  const double t0 = now_sec();
   res.mesh = extract_mesh(refiner.mesh(), refiner.oracle(), opt.threads,
                           refiner.lattice());
+  res.extract_sec = now_sec() - t0;
   res.oracle = refiner.shared_oracle();
   return res;
 }

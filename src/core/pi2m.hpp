@@ -101,6 +101,7 @@ struct MeshingResult {
   /// The oracle the mesh was refined against (the warm one when passed in),
   /// reusable for smoothing and fidelity reports.
   std::shared_ptr<const IsosurfaceOracle> oracle;
+  double extract_sec = 0.0;  ///< extract_mesh wall time
   [[nodiscard]] bool ok() const { return outcome.completed; }
   [[nodiscard]] double elements_per_sec() const {
     return outcome.wall_sec > 0 ? static_cast<double>(mesh.num_tets()) /

@@ -6,6 +6,7 @@
 
 #include "geometry/tetra.hpp"
 #include "predicates/predicates.hpp"
+#include "support/parallel_for.hpp"
 
 namespace pi2m {
 namespace {
@@ -31,35 +32,67 @@ struct OwnedFace {
 /// Every tet face, in lexicographic (key, owner) order. A counting sort on
 /// the smallest vertex (the key's first entry) does the bulk of the work;
 /// each bucket then holds only the few faces around one vertex and is
-/// sorted in place.
-std::vector<OwnedFace> sorted_tet_faces(const TetMesh& mesh) {
-  std::vector<std::size_t> start(mesh.points.size() + 1, 0);
-  for (const auto& t : mesh.tets) {
-    for (const auto& fi : kTetFaces) {
-      ++start[std::min({t[fi[0]], t[fi[1]], t[fi[2]]}) + 1];
+/// sorted in place. Each tet block counts its faces per vertex; bucket v
+/// takes block 0's faces first, then block 1's, ..., so the blocks scatter
+/// in parallel and stably (tet order within a bucket, as a serial scatter
+/// would). The buckets are then sorted in vertex ranges of about equal face
+/// counts. The array is the same at any block count.
+std::vector<OwnedFace> sorted_tet_faces(const TetMesh& mesh,
+                                        std::size_t blocks) {
+  const std::size_t nt = mesh.tets.size();
+  const std::size_t nv = mesh.points.size();
+  // at[k * nv + v]: block k's face count for vertex v, then its next slot.
+  std::vector<std::size_t> at(blocks * nv, 0);
+  parallel_indexed_blocks(nt, blocks, [&](std::size_t k, std::size_t b,
+                                          std::size_t e) {
+    std::size_t* count = at.data() + k * nv;
+    for (std::size_t ti = b; ti < e; ++ti) {
+      const auto& t = mesh.tets[ti];
+      for (const auto& fi : kTetFaces) {
+        ++count[std::min({t[fi[0]], t[fi[1]], t[fi[2]]})];
+      }
+    }
+  });
+  std::vector<std::size_t> start(nv + 1);
+  std::size_t total = 0;
+  for (std::size_t v = 0; v < nv; ++v) {
+    start[v] = total;
+    for (std::size_t k = 0; k < blocks; ++k) {
+      const std::size_t c = at[k * nv + v];
+      at[k * nv + v] = total;
+      total += c;
     }
   }
-  for (std::size_t v = 1; v < start.size(); ++v) start[v] += start[v - 1];
+  start[nv] = total;
 
-  std::vector<OwnedFace> faces(start.back());
-  std::vector<std::size_t> next(start.begin(), start.end() - 1);
-  for (std::uint32_t ti = 0; ti < mesh.tets.size(); ++ti) {
-    const auto& t = mesh.tets[ti];
-    for (const auto& fi : kTetFaces) {
-      const FaceKey k = face_key(t[fi[0]], t[fi[1]], t[fi[2]]);
-      faces[next[k[0]]++] = {k, ti};
+  std::vector<OwnedFace> faces(total);
+  parallel_indexed_blocks(nt, blocks, [&](std::size_t k, std::size_t b,
+                                          std::size_t e) {
+    std::size_t* next = at.data() + k * nv;
+    for (std::size_t ti = b; ti < e; ++ti) {
+      const auto& t = mesh.tets[ti];
+      for (const auto& fi : kTetFaces) {
+        const FaceKey key = face_key(t[fi[0]], t[fi[1]], t[fi[2]]);
+        faces[next[key[0]]++] = {key, static_cast<std::uint32_t>(ti)};
+      }
     }
-  }
-  for (std::size_t v = 0; v + 1 < start.size(); ++v) {
-    std::sort(faces.begin() + static_cast<std::ptrdiff_t>(start[v]),
-              faces.begin() + static_cast<std::ptrdiff_t>(start[v + 1]));
-  }
+  });
+  // Block k sorts the buckets that start in its share [b, e) of the faces.
+  parallel_indexed_blocks(total, blocks, [&](std::size_t, std::size_t b,
+                                             std::size_t e) {
+    auto v = static_cast<std::size_t>(
+        std::lower_bound(start.begin(), start.end() - 1, b) - start.begin());
+    for (; v < nv && start[v] < e; ++v) {
+      std::sort(faces.begin() + static_cast<std::ptrdiff_t>(start[v]),
+                faces.begin() + static_cast<std::ptrdiff_t>(start[v + 1]));
+    }
+  });
   return faces;
 }
 
 }  // namespace
 
-MeshValidation validate_mesh(const TetMesh& mesh) {
+MeshValidation validate_mesh(const TetMesh& mesh, int threads) {
   MeshValidation v;
   auto fail = [&v](std::string msg) { v.errors.push_back(std::move(msg)); };
 
@@ -98,30 +131,49 @@ MeshValidation validate_mesh(const TetMesh& mesh) {
   for (const Vec3& p : mesh.points) bbox.expand(p);
   const double diag = mesh.points.empty() ? 0.0 : norm(bbox.extent());
   const double sliver_vol = 1e-12 * diag * diag * diag;
-  for (std::size_t i = 0; i < mesh.tets.size(); ++i) {
-    const auto& t = mesh.tets[i];
-    // The exact predicate decides degenerate/inverted: the floating-point
-    // volume of a coplanar quadruple can round to a nonzero value (and an
-    // inverted sliver's to a positive one), so fabs(vol) <= 0.0 misses both.
-    const int sign = orient3d(mesh.points[t[0]], mesh.points[t[1]],
-                              mesh.points[t[2]], mesh.points[t[3]]);
-    if (sign == 0) {
-      fail("degenerate (coplanar) tetrahedron");
-    } else if (sign < 0) {
-      fail("inverted (negatively oriented) tetrahedron");
-    } else {
-      const double vol = signed_volume(mesh.points[t[0]], mesh.points[t[1]],
-                                       mesh.points[t[2]], mesh.points[t[3]]);
-      if (vol < sliver_vol) ++v.sliver_elements;
+  const auto blocks = static_cast<std::size_t>(
+      threads > 0 ? threads : post_threads(mesh.tets.size()));
+  // Each block collects its own errors; concatenated in block order they
+  // are the serial loop's errors, in its order.
+  struct Sanity {
+    std::vector<std::string> errors;
+    std::size_t slivers = 0;
+  };
+  std::vector<Sanity> part(blocks);
+  parallel_indexed_blocks(mesh.tets.size(), blocks, [&](std::size_t k,
+                                                        std::size_t b,
+                                                        std::size_t e) {
+    Sanity& s = part[k];
+    for (std::size_t i = b; i < e; ++i) {
+      const auto& t = mesh.tets[i];
+      // The exact predicate decides degenerate/inverted: the floating-point
+      // volume of a coplanar quadruple can round to a nonzero value (and an
+      // inverted sliver's to a positive one), so fabs(vol) <= 0.0 misses
+      // both.
+      const int sign = orient3d(mesh.points[t[0]], mesh.points[t[1]],
+                                mesh.points[t[2]], mesh.points[t[3]]);
+      if (sign == 0) {
+        s.errors.emplace_back("degenerate (coplanar) tetrahedron");
+      } else if (sign < 0) {
+        s.errors.emplace_back("inverted (negatively oriented) tetrahedron");
+      } else {
+        const double vol = signed_volume(mesh.points[t[0]], mesh.points[t[1]],
+                                         mesh.points[t[2]], mesh.points[t[3]]);
+        if (vol < sliver_vol) ++s.slivers;
+      }
+      if (i < mesh.tet_labels.size() && mesh.tet_labels[i] == 0) {
+        s.errors.emplace_back("element with background label");
+      }
     }
-    if (i < mesh.tet_labels.size() && mesh.tet_labels[i] == 0) {
-      fail("element with background label");
-    }
+  });
+  for (Sanity& s : part) {
+    for (std::string& msg : s.errors) fail(std::move(msg));
+    v.sliver_elements += s.slivers;
   }
 
   // --- face conformity ---
   // Both lists are in key order, the order the errors are reported in.
-  const std::vector<OwnedFace> faces = sorted_tet_faces(mesh);
+  const std::vector<OwnedFace> faces = sorted_tet_faces(mesh, blocks);
   std::vector<FaceKey> boundary;
   boundary.reserve(mesh.boundary_tris.size());
   for (const auto& b : mesh.boundary_tris) {

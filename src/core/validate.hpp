@@ -38,6 +38,9 @@ struct MeshValidation {
 ///    triangles), reported but not fatal (multi-material junction lines
 ///    legitimately have >2);
 ///  * counts connected components of the element graph.
-MeshValidation validate_mesh(const TetMesh& mesh);
+/// The element checks and the face sort run on `threads` threads
+/// (0 = post_threads(tets)); the result, `errors` order included, is the
+/// same at any thread count.
+MeshValidation validate_mesh(const TetMesh& mesh, int threads = 0);
 
 }  // namespace pi2m

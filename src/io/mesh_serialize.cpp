@@ -42,6 +42,11 @@ constexpr std::uint64_t kMaxCount = std::uint64_t{1} << 33;
 }  // namespace
 
 bool save_mesh(const TetMesh& mesh, const std::string& path) {
+  // load_mesh rejects such a file; refuse to write it.
+  if (mesh.point_kinds.size() != mesh.points.size() ||
+      mesh.tet_labels.size() != mesh.tets.size()) {
+    return false;
+  }
   std::ofstream out(path, std::ios::binary);
   if (!out) return false;
   out.write(kMagic, sizeof kMagic);

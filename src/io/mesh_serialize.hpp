@@ -10,7 +10,9 @@
 
 namespace pi2m::io {
 
-/// Writes the mesh in the versioned binary .p2m format.
+/// Writes the mesh in the versioned binary .p2m format. Returns false on
+/// I/O failure or when the parallel arrays disagree in size (a file
+/// load_mesh would reject).
 bool save_mesh(const TetMesh& mesh, const std::string& path);
 
 /// Reads a .p2m file; nullopt (with `error` filled when given) on any

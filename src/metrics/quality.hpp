@@ -31,7 +31,9 @@ struct QualityReport {
   std::array<std::size_t, 17> radius_edge_histogram{};
 };
 
-/// Evaluates all metrics over an extracted mesh.
-QualityReport evaluate_quality(const TetMesh& mesh);
+/// Evaluates all metrics over an extracted mesh on `threads` threads
+/// (0 = post_threads(tets)). The report is bitwise the same at any thread
+/// count.
+QualityReport evaluate_quality(const TetMesh& mesh, int threads = 0);
 
 }  // namespace pi2m

@@ -178,6 +178,7 @@ const JobArtifacts& MeshJob::run() {
   const SimdPredicateCounters spred0 = simd_predicate_counters();
   MeshingResult res = mesh_image(*art_.image_view, opt, warm);
   art_.outcome = res.outcome;
+  art_.extract_sec = res.extract_sec;
   art_.mesh = std::move(res.mesh);
   art_.cancelled = art_.outcome.cancelled;
 
@@ -244,6 +245,7 @@ const JobArtifacts& MeshJob::run() {
   if (!art_.outcome.completed) return art_;
 
   // --- outputs ---
+  const double write_t0 = now_sec();
   for (const std::string& out : spec_.outputs) {
     bool wrote;
     if (ends_with(out, ".vtk")) {
@@ -265,6 +267,7 @@ const JobArtifacts& MeshJob::run() {
       return art_;
     }
   }
+  art_.write_sec = now_sec() - write_t0;
 
   art_.ok = true;
   return art_;
@@ -313,10 +316,14 @@ telemetry::RunManifest MeshJob::build_manifest(const std::string& tool) const {
     man.add_phase("lattice_seed", art_.outcome.lattice_seed_sec);
   }
   man.add_phase("refine", art_.outcome.wall_sec);
+  man.add_phase("extract", art_.extract_sec);
   if (spec_.smooth > 0) man.add_phase("smooth", art_.smooth_sec);
   if (art_.quality) man.add_phase("quality", art_.quality_sec);
   if (art_.hausdorff) man.add_phase("hausdorff", art_.hausdorff_sec);
   if (art_.validation) man.add_phase("validate", art_.validate_sec);
+  if (art_.ok && !spec_.outputs.empty()) {
+    man.add_phase("write", art_.write_sec);
+  }
   man.metrics = art_.metrics;
   if (!art_.error.empty()) man.notes = art_.error;
   return man;

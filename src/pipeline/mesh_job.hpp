@@ -80,10 +80,12 @@ struct JobArtifacts {
   RefineOutcome outcome;
   bool edt_cache_hit = false;
   double queue_wait_sec = 0.0;  ///< filled by the serving layer
+  double extract_sec = 0.0;
   double smooth_sec = 0.0;
   double quality_sec = 0.0;
   double hausdorff_sec = 0.0;
   double validate_sec = 0.0;
+  double write_sec = 0.0;  ///< every output file
   std::optional<SmoothingReport> smoothing;
   std::optional<QualityReport> quality;
   std::optional<HausdorffResult> hausdorff;
@@ -126,7 +128,8 @@ class MeshJob {
   [[nodiscard]] const JobSpec& spec() const { return spec_; }
 
   /// Builds the versioned run manifest for this job: config mirror of the
-  /// spec, phase timings (edt/refine/smooth), and the metrics snapshot.
+  /// spec, phase timings (edt, refine, extract, smooth, reports, write),
+  /// and the metrics snapshot.
   [[nodiscard]] telemetry::RunManifest build_manifest(
       const std::string& tool) const;
 

@@ -9,6 +9,7 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <cstdio>
 #include <chrono>
 #include <future>
 #include <string>
@@ -401,18 +402,21 @@ TEST(ServeMeshJob, ManifestTimesReportsAndValidation) {
   };
   MeshJob plain(small_ball_spec());
   ASSERT_TRUE(plain.run().ok) << plain.artifacts().error;
-  EXPECT_EQ(phase_names(plain).back(), "refine");
+  EXPECT_EQ(phase_names(plain).back(), "extract");
 
+  const std::string out = ::testing::TempDir() + "/serve_test_manifest.p2m";
   JobSpec spec = small_ball_spec();
   spec.want_report = true;
   spec.want_validation = true;
+  spec.outputs = {out};
   MeshJob job(std::move(spec));
   ASSERT_TRUE(job.run().ok) << job.artifacts().error;
+  std::remove(out.c_str());
   const std::vector<std::string> names = phase_names(job);
-  ASSERT_GE(names.size(), 4u);
-  EXPECT_EQ(std::vector<std::string>(names.end() - 4, names.end()),
-            (std::vector<std::string>{"refine", "quality", "hausdorff",
-                                      "validate"}));
+  ASSERT_GE(names.size(), 6u);
+  EXPECT_EQ(std::vector<std::string>(names.end() - 6, names.end()),
+            (std::vector<std::string>{"refine", "extract", "quality",
+                                      "hausdorff", "validate", "write"}));
 }
 
 // Smoothing and the reports run on the oracle the mesh was refined
