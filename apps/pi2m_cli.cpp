@@ -21,7 +21,6 @@
 
 #include "io/image_io.hpp"
 #include "pipeline/mesh_job.hpp"
-#include "support/simd.hpp"
 #include "telemetry/telemetry.hpp"
 
 namespace {
@@ -50,21 +49,12 @@ void usage() {
       "  --threads T             worker threads (default 1)\n"
       "  --cm NAME               aggressive|random|global|local (default local)\n"
       "  --lb NAME               rws|hws (default hws)\n"
-      "  --no-geom-cache         disable the per-cell geometry cache (A/B\n"
-      "                          baseline; results are identical either way)\n"
-      "  --reference-walks       use the scalar-sampling oracle walks instead\n"
-      "                          of the voxel-DDA traversal (A/B baseline)\n"
-      "  --no-simd               force the scalar predicate-filter dispatch\n"
-      "                          (A/B baseline; classifications are identical\n"
-      "                          either way; PI2M_SIMD=scalar|avx2 also works)\n"
       "\n"
       "scheduler:\n"
       "  --topology auto|CxS     'auto' probes the host's real socket layout\n"
       "                          (/sys); 'CxS' declares C cores/socket and S\n"
       "                          sockets/blade, e.g. 8x2 (the default)\n"
       "  --pin                   pin worker threads to cpus per the topology\n"
-      "  --mutex-scheduler       use the mutex begging lists instead of the\n"
-      "                          lock-free slot arrays (A/B baseline)\n"
       "  --park-spin-us N        idle spin budget before a timed park\n"
       "                          (default 50)\n"
       "\n"
@@ -158,12 +148,6 @@ std::optional<Args> parse(int argc, char** argv) {
         std::exit(2);
       }
       s.mesh.load_balancer = *lb;
-    } else if (key == "--no-geom-cache") {
-      s.mesh.use_geom_cache = false;
-    } else if (key == "--reference-walks") {
-      s.mesh.use_reference_walks = true;
-    } else if (key == "--no-simd") {
-      pi2m::simd::force_simd_level(pi2m::simd::Level::kScalar);
     } else if (key == "--topology") {
       s.topology_desc = next();
       if (s.topology_desc == "auto") {
@@ -182,8 +166,6 @@ std::optional<Args> parse(int argc, char** argv) {
       }
     } else if (key == "--pin") {
       s.mesh.pin = true;
-    } else if (key == "--mutex-scheduler") {
-      s.mesh.mutex_scheduler = true;
     } else if (key == "--park-spin-us") {
       s.mesh.park_spin_us = std::atoi(next());
     } else if (key == "--smooth") {

@@ -22,7 +22,6 @@
 #include "imaging/isosurface.hpp"
 #include "imaging/phantom.hpp"
 #include "predicates/predicates.hpp"
-#include "predicates/predicates_simd.hpp"
 #include "runtime/mpsc_inbox.hpp"
 #include "runtime/topology.hpp"
 #include "runtime/workstealing.hpp"
@@ -81,75 +80,6 @@ void BM_Orient3dStageD(benchmark::State& state) {
 }
 BENCHMARK(BM_Orient3dStageD);
 
-// Batch pool for the filter-hit-path benches. Small enough that the pool
-// stays L1-resident (16 * 768 B / 16 * 960 B), mirroring the scalar bench
-// whose point pool is likewise resident: both then measure the predicate
-// evaluation itself, not memory traffic.
-constexpr std::size_t kBatchPoolMask = 16 - 1;
-
-/// Batched stage-A filter throughput on the filter-hit path: pre-marshalled
-/// batches of `lanes` random candidates evaluated in rotation. Per-candidate
-/// cost = reported time / lanes; compare against BM_Orient3dFiltered (one
-/// resident candidate per iteration) for the filter-hit-path speedup.
-void orient3d_batch_bench(benchmark::State& state, int lanes) {
-  const auto pts = random_points(kPredPoolMask + 1, 1);
-  std::vector<Orient3dBatch> pool(kBatchPoolMask + 1);
-  std::size_t j = 0;
-  for (Orient3dBatch& b : pool) {
-    for (int k = 0; k < lanes; ++k, ++j) {
-      b.set_lane(k, pts[j & kPredPoolMask], pts[(j + 1) & kPredPoolMask],
-                 pts[(j + 2) & kPredPoolMask], pts[(j + 3) & kPredPoolMask]);
-    }
-  }
-  int signs[Orient3dBatch::kMaxLanes];
-  std::size_t i = 0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        orient3d_batch(pool[i & kBatchPoolMask], lanes, signs));
-    benchmark::DoNotOptimize(signs[0]);
-    ++i;
-  }
-  state.SetItemsProcessed(state.iterations() * lanes);
-}
-
-/// Marshal-inclusive variant: fills the batch lane by lane inside the timed
-/// loop, as the cavity-BFS and walk consumers do. The gap against the
-/// pooled bench is the SoA transpose cost (scalar stores immediately
-/// re-read as vector loads -> store-forward stalls), reported separately
-/// so it is not mistaken for filter cost.
-void orient3d_batch_marshal_bench(benchmark::State& state, int lanes) {
-  const auto pts = random_points(kPredPoolMask + 1, 1);
-  std::size_t i = 0;
-  int signs[Orient3dBatch::kMaxLanes];
-  for (auto _ : state) {
-    Orient3dBatch b;
-    for (int k = 0; k < lanes; ++k) {
-      const std::size_t j = i + static_cast<std::size_t>(k);
-      b.set_lane(k, pts[j & kPredPoolMask], pts[(j + 1) & kPredPoolMask],
-                 pts[(j + 2) & kPredPoolMask], pts[(j + 3) & kPredPoolMask]);
-    }
-    benchmark::DoNotOptimize(orient3d_batch(b, lanes, signs));
-    benchmark::DoNotOptimize(signs[0]);
-    i += static_cast<std::size_t>(lanes);
-  }
-  state.SetItemsProcessed(state.iterations() * lanes);
-}
-
-void BM_Orient3dBatch4(benchmark::State& state) {
-  orient3d_batch_bench(state, 4);
-}
-BENCHMARK(BM_Orient3dBatch4);
-
-void BM_Orient3dBatch8(benchmark::State& state) {
-  orient3d_batch_bench(state, 8);
-}
-BENCHMARK(BM_Orient3dBatch8);
-
-void BM_Orient3dBatch8Marshal(benchmark::State& state) {
-  orient3d_batch_marshal_bench(state, 8);
-}
-BENCHMARK(BM_Orient3dBatch8Marshal);
-
 void BM_InsphereFiltered(benchmark::State& state) {
   const auto pts = random_points(kPredPoolMask + 1, 2);
   std::size_t i = 0;
@@ -162,62 +92,6 @@ void BM_InsphereFiltered(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_InsphereFiltered);
-
-void insphere_batch_bench(benchmark::State& state, int lanes) {
-  const auto pts = random_points(kPredPoolMask + 1, 2);
-  std::vector<InsphereBatch> pool(kBatchPoolMask + 1);
-  std::size_t j = 0;
-  for (InsphereBatch& b : pool) {
-    for (int k = 0; k < lanes; ++k, ++j) {
-      b.set_lane(k, pts[j & kPredPoolMask], pts[(j + 1) & kPredPoolMask],
-                 pts[(j + 2) & kPredPoolMask], pts[(j + 3) & kPredPoolMask],
-                 pts[(j + 4) & kPredPoolMask]);
-    }
-  }
-  int signs[InsphereBatch::kMaxLanes];
-  std::size_t i = 0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        insphere_batch(pool[i & kBatchPoolMask], lanes, signs));
-    benchmark::DoNotOptimize(signs[0]);
-    ++i;
-  }
-  state.SetItemsProcessed(state.iterations() * lanes);
-}
-
-void insphere_batch_marshal_bench(benchmark::State& state, int lanes) {
-  const auto pts = random_points(kPredPoolMask + 1, 2);
-  std::size_t i = 0;
-  int signs[InsphereBatch::kMaxLanes];
-  for (auto _ : state) {
-    InsphereBatch b;
-    for (int k = 0; k < lanes; ++k) {
-      const std::size_t j = i + static_cast<std::size_t>(k);
-      b.set_lane(k, pts[j & kPredPoolMask], pts[(j + 1) & kPredPoolMask],
-                 pts[(j + 2) & kPredPoolMask], pts[(j + 3) & kPredPoolMask],
-                 pts[(j + 4) & kPredPoolMask]);
-    }
-    benchmark::DoNotOptimize(insphere_batch(b, lanes, signs));
-    benchmark::DoNotOptimize(signs[0]);
-    i += static_cast<std::size_t>(lanes);
-  }
-  state.SetItemsProcessed(state.iterations() * lanes);
-}
-
-void BM_InsphereBatch4(benchmark::State& state) {
-  insphere_batch_bench(state, 4);
-}
-BENCHMARK(BM_InsphereBatch4);
-
-void BM_InsphereBatch8(benchmark::State& state) {
-  insphere_batch_bench(state, 8);
-}
-BENCHMARK(BM_InsphereBatch8);
-
-void BM_InsphereBatch8Marshal(benchmark::State& state) {
-  insphere_batch_marshal_bench(state, 8);
-}
-BENCHMARK(BM_InsphereBatch8Marshal);
 
 void BM_InsphereExactPath(benchmark::State& state) {
   // Cospherical cube corners defeat the stage-A filter every call; the
@@ -238,7 +112,7 @@ void BM_InsphereStageD(benchmark::State& state) {
 }
 BENCHMARK(BM_InsphereStageD);
 
-/// Shared triangulation for the locate-walk benches: 8k random points so
+/// Shared triangulation for the locate-walk bench: 8k random points so
 /// walks are long enough for the cell-header cache misses to dominate.
 struct LocateScenario {
   DelaunayMesh mesh{{{0, 0, 0}, {1, 1, 1}}, 1u << 16, 1u << 19};
@@ -260,42 +134,18 @@ LocateScenario& locate_scenario() {
   return s;
 }
 
-void BM_LocateWalkScalar(benchmark::State& state) {
+void BM_LocateWalk(benchmark::State& state) {
   // One walk at a time: every step's cell-header load is a serialized miss.
   LocateScenario& s = locate_scenario();
   std::size_t i = 0;
   for (auto _ : state) {
-    for (int k = 0; k < kMaxLocateBatch; ++k) {
-      benchmark::DoNotOptimize(
-          locate_point(s.mesh, s.queries[(i + k) % s.queries.size()], s.hint));
-    }
-    i += kMaxLocateBatch;
-  }
-  state.SetItemsProcessed(state.iterations() * kMaxLocateBatch);
-}
-BENCHMARK(BM_LocateWalkScalar);
-
-void BM_LocateWalkBatched(benchmark::State& state) {
-  // Four independent walks in lockstep with a prefetch round per step, so
-  // the misses of independent walks overlap (software pipelining).
-  LocateScenario& s = locate_scenario();
-  Vec3 pts[kMaxLocateBatch];
-  CellId hints[kMaxLocateBatch];
-  LocateResult out[kMaxLocateBatch];
-  std::size_t i = 0;
-  for (auto _ : state) {
-    for (int k = 0; k < kMaxLocateBatch; ++k) {
-      pts[k] = s.queries[(i + k) % s.queries.size()];
-      hints[k] = s.hint;
-    }
     benchmark::DoNotOptimize(
-        locate_points(s.mesh, pts, kMaxLocateBatch, hints, out));
-    benchmark::DoNotOptimize(out[0].cell);
-    i += kMaxLocateBatch;
+        locate_point(s.mesh, s.queries[i % s.queries.size()], s.hint));
+    ++i;
   }
-  state.SetItemsProcessed(state.iterations() * kMaxLocateBatch);
+  state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK(BM_LocateWalkBatched);
+BENCHMARK(BM_LocateWalk);
 
 void BM_EdtConstruction(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
@@ -657,48 +507,10 @@ BENCHMARK(BM_IdlePollDrainMpsc);
 /// realistic beggar occupancy (7 of 8 threads begging): giver pops the
 /// most local beggar and publishes a batch of 64 into its inbox; the
 /// beggar polls its inbox, drains it, cancels its begging registration and
-/// re-enqueues. The mutex variant replicates the seed protocol exactly
-/// (per-element push_back under the lock, empty-poll under the lock,
-/// O(n) deque-scan cancel); the lock-free variant is the shipped one.
-void BM_HandoffCycleMutex(benchmark::State& state) {
+/// re-enqueues.
+void BM_HandoffCycle(benchmark::State& state) {
   const Topology topo(8, {2, 2});
-  const auto lb = make_load_balancer(LbKind::HWS, topo, SchedulerImpl::Mutex);
-  for (int tid = 1; tid < 8; ++tid) lb->enqueue_beggar(tid);
-  const auto batch = handoff_batch();
-  std::mutex inbox_mutex;
-  std::vector<HandoffEntry> inbox;
-  std::vector<HandoffEntry> drained;
-  StealLevel level;
-  for (auto _ : state) {
-    const int beggar = lb->pop_beggar(0, &level);
-    {
-      std::lock_guard<std::mutex> lk(inbox_mutex);
-      for (const HandoffEntry& e : batch) inbox.push_back(e);
-    }
-    bool has_work = false;
-    {
-      std::lock_guard<std::mutex> lk(inbox_mutex);
-      has_work = !inbox.empty();
-    }
-    benchmark::DoNotOptimize(has_work);
-    {
-      std::lock_guard<std::mutex> lk(inbox_mutex);
-      drained.clear();
-      drained.swap(inbox);
-    }
-    benchmark::DoNotOptimize(drained.data());
-    lb->cancel(beggar);
-    lb->enqueue_beggar(beggar);
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(kHandoffBatch));
-}
-BENCHMARK(BM_HandoffCycleMutex);
-
-void BM_HandoffCycleLockfree(benchmark::State& state) {
-  const Topology topo(8, {2, 2});
-  const auto lb =
-      make_load_balancer(LbKind::HWS, topo, SchedulerImpl::LockFree);
+  const auto lb = make_load_balancer(LbKind::HWS, topo);
   for (int tid = 1; tid < 8; ++tid) lb->enqueue_beggar(tid);
   const auto batch = handoff_batch();
   MpscRing<HandoffEntry> ring(kHandoffCapacity);
@@ -718,15 +530,15 @@ void BM_HandoffCycleLockfree(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() *
                           static_cast<std::int64_t>(kHandoffBatch));
 }
-BENCHMARK(BM_HandoffCycleLockfree);
+BENCHMARK(BM_HandoffCycle);
 
-void beggar_churn(benchmark::State& state, SchedulerImpl impl) {
+void BM_BeggarChurn(benchmark::State& state) {
   // Single-thread churn through the HWS begging lists: the enqueue /
   // pop / cancel cycle every idle episode pays. The virtual Blacklight
   // topology (8 threads, 2 cores/socket, 2 sockets/blade) exercises all
   // three levels.
   const Topology topo(8, {2, 2});
-  const auto lb = make_load_balancer(LbKind::HWS, topo, impl);
+  const auto lb = make_load_balancer(LbKind::HWS, topo);
   StealLevel level;
   for (auto _ : state) {
     for (int tid = 1; tid < 8; ++tid) lb->enqueue_beggar(tid);
@@ -736,16 +548,7 @@ void beggar_churn(benchmark::State& state, SchedulerImpl impl) {
   }
   state.SetItemsProcessed(state.iterations() * 7);
 }
-
-void BM_BeggarChurnMutex(benchmark::State& state) {
-  beggar_churn(state, SchedulerImpl::Mutex);
-}
-BENCHMARK(BM_BeggarChurnMutex);
-
-void BM_BeggarChurnLockfree(benchmark::State& state) {
-  beggar_churn(state, SchedulerImpl::LockFree);
-}
-BENCHMARK(BM_BeggarChurnLockfree);
+BENCHMARK(BM_BeggarChurn);
 
 /// Console reporting plus a MetricsRegistry capture of every benchmark's
 /// per-iteration CPU time, for the --manifest run-manifest output.

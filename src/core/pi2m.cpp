@@ -146,11 +146,8 @@ RefinerOptions to_refiner_options(const MeshingOptions& opt) {
   r.max_vertices = opt.max_vertices;
   r.max_cells = opt.max_cells;
   r.watchdog_sec = opt.watchdog_sec;
-  r.use_geom_cache = opt.use_geom_cache;
-  r.use_reference_walks = opt.use_reference_walks;
   r.pin = opt.pin;
   r.topology_auto = opt.topology_auto;
-  r.mutex_scheduler = opt.mutex_scheduler;
   r.park_spin_us = opt.park_spin_us;
   r.cancel = opt.cancel;
   r.warm_arena = opt.warm_arena;

@@ -49,8 +49,7 @@ Refiner::Refiner(const LabeledImage3D& img, RefinerOptions opt,
   PI2M_CHECK(opt_.rules.delta > 0.0, "RefineRulesConfig::delta must be set");
 
   if (warm_oracle != nullptr) {
-    // EDT cache hit: the feature transform is already computed and shared;
-    // the oracle's walk mode was fixed when the cache entry was built.
+    // EDT cache hit: the feature transform is already computed and shared.
     oracle_ = std::move(warm_oracle);
     edt_sec_ = 0.0;
   } else {
@@ -59,9 +58,7 @@ Refiner::Refiner(const LabeledImage3D& img, RefinerOptions opt,
       PI2M_TRACE_SPAN("phase.edt", "phase");
       const int edt_threads =
           opt_.edt_threads > 0 ? opt_.edt_threads : opt_.threads;
-      auto fresh = std::make_unique<IsosurfaceOracle>(img, edt_threads);
-      fresh->set_use_dda(!opt_.use_reference_walks);
-      oracle_ = std::move(fresh);
+      oracle_ = std::make_shared<IsosurfaceOracle>(img, edt_threads);
     }
     edt_sec_ = now_sec() - t0;
   }
@@ -71,9 +68,7 @@ Refiner::Refiner(const LabeledImage3D& img, RefinerOptions opt,
   mesh_ = std::make_unique<DelaunayMesh>(box, opt_.max_vertices,
                                          opt_.max_cells, kArenaBlock,
                                          opt_.warm_arena);
-  if (opt_.use_geom_cache) {
-    geom_cache_ = std::make_unique<CellGeomCache>(mesh_->cell_capacity());
-  }
+  geom_cache_ = std::make_unique<CellGeomCache>(mesh_->cell_capacity());
 
   // Cell size = 2x query radius: a query ball overlaps at most 8 cells.
   // (removal_factor 0 disables R6; the grid still needs a positive cell.)
@@ -82,9 +77,7 @@ Refiner::Refiner(const LabeledImage3D& img, RefinerOptions opt,
   cc_grid_ = std::make_unique<SpatialHashGrid>(
       box, 2.0 * std::max(opt_.rules.removal_factor, 1.0) * delta);
 
-  lb_ = make_load_balancer(opt_.lb, topo_,
-                           opt_.mutex_scheduler ? SchedulerImpl::Mutex
-                                                : SchedulerImpl::LockFree);
+  lb_ = make_load_balancer(opt_.lb, topo_);
   CmContext cm_ctx;
   cm_ctx.done = &done_;
   cm_ctx.idle_threads = &idle_count_;
@@ -594,13 +587,11 @@ RefineOutcome Refiner::refine() {
   for (std::size_t i = 0; i < rule_counts_.size(); ++i) {
     out.rule_counts[i] = rule_counts_[i].load(std::memory_order_relaxed);
   }
-  if (geom_cache_ != nullptr) {
-    const CellGeomCache::CounterTotals ct = geom_cache_->totals();
-    out.classify_cache_hits = ct.hits;
-    out.classify_cache_misses = ct.misses;
-    out.classify_csp_hits = ct.csp_hits;
-    out.classify_csp_misses = ct.csp_misses;
-  }
+  const CellGeomCache::CounterTotals ct = geom_cache_->totals();
+  out.classify_cache_hits = ct.hits;
+  out.classify_cache_misses = ct.misses;
+  out.classify_csp_hits = ct.csp_hits;
+  out.classify_csp_misses = ct.csp_misses;
 
   // Count alive cells and final elements (circumcenter inside O) with a
   // parallel scan — the paper keeps incremental per-thread lists instead;

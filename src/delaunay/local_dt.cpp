@@ -4,7 +4,6 @@
 
 #include "delaunay/mesh.hpp"  // kFaceOf
 #include "predicates/predicates.hpp"
-#include "predicates/predicates_simd.hpp"
 
 namespace pi2m {
 namespace {
@@ -78,21 +77,13 @@ int LocalDelaunay::locate(const Vec3& p) const {
   int spin = 0;
   for (int step = 0; step < kMaxWalkSteps && cur >= 0; ++step) {
     const Tet& t = tets_[static_cast<std::size_t>(cur)];
-    // All four face orientations in one predicate batch, then the crossed
-    // face picked in spin-rotated order — the same face the early-exiting
-    // scalar scan chose.
-    Orient3dBatch batch;
-    for (int f = 0; f < 4; ++f) {
-      batch.set_lane(f, pts_[static_cast<std::size_t>(t.v[kFaceOf[f][0]])],
-                     pts_[static_cast<std::size_t>(t.v[kFaceOf[f][1]])],
-                     pts_[static_cast<std::size_t>(t.v[kFaceOf[f][2]])], p);
-    }
-    int signs[4];
-    orient3d_batch(batch, 4, signs);
     bool moved = false;
     for (int k = 0; k < 4 && !moved; ++k) {
       const int f = (k + spin) & 3;
-      if (signs[f] < 0) {
+      if (orient3d(pts_[static_cast<std::size_t>(t.v[kFaceOf[f][0]])],
+                   pts_[static_cast<std::size_t>(t.v[kFaceOf[f][1]])],
+                   pts_[static_cast<std::size_t>(t.v[kFaceOf[f][2]])],
+                   p) < 0) {
         cur = t.n[f];
         ++spin;
         moved = true;
@@ -129,35 +120,12 @@ bool LocalDelaunay::insert(int pi) {
   auto in_cavity = [&](int ti) {
     return tets_[static_cast<std::size_t>(ti)].mark == epoch;
   };
-  // The frontier's candidate neighbours (distinct per popped tet — two
-  // tetrahedra share at most one face) are classified in face order, their
-  // insphere filters evaluated as one predicate batch, and the results
-  // applied in face order again: the same cavity/boundary sequences as the
-  // historical one-face-at-a-time loop, with a 4-wide filter pass.
   while (!stack.empty()) {
     const int ti = stack.back();
     stack.pop_back();
     const Tet t = tets_[static_cast<std::size_t>(ti)];  // copy: tets_ may grow
-    int pending[4];
-    int lane_of[4];
-    InsphereBatch batch;
-    int lanes = 0;
     for (int f = 0; f < 4; ++f) {
       const int nb = t.n[f];
-      lane_of[f] = -1;
-      pending[f] = nb;
-      if (nb < 0 || in_cavity(nb)) continue;
-      const Tet& nt = tets_[static_cast<std::size_t>(nb)];
-      batch.set_lane(lanes, pts_[static_cast<std::size_t>(nt.v[0])],
-                     pts_[static_cast<std::size_t>(nt.v[1])],
-                     pts_[static_cast<std::size_t>(nt.v[2])],
-                     pts_[static_cast<std::size_t>(nt.v[3])], p);
-      lane_of[f] = lanes++;
-    }
-    int signs[4];
-    if (lanes > 0) insphere_batch(batch, lanes, signs);
-    for (int f = 0; f < 4; ++f) {
-      const int nb = pending[f];
       const int a = t.v[kFaceOf[f][0]];
       const int b = t.v[kFaceOf[f][1]];
       const int c = t.v[kFaceOf[f][2]];
@@ -165,8 +133,8 @@ bool LocalDelaunay::insert(int pi) {
         bfaces.push_back({a, b, c, -1});
         continue;
       }
-      if (lane_of[f] < 0) continue;  // already in cavity
-      if (signs[lane_of[f]] > 0) {
+      if (in_cavity(nb)) continue;
+      if (in_sphere(nb) > 0) {
         cavity.push_back(nb);
         tets_[static_cast<std::size_t>(nb)].mark = epoch;
         stack.push_back(nb);

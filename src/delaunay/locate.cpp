@@ -2,7 +2,6 @@
 
 #include "delaunay/operations.hpp"
 #include "predicates/predicates.hpp"
-#include "predicates/predicates_simd.hpp"
 
 namespace pi2m {
 
@@ -17,75 +16,6 @@ CellId any_alive_cell(const DelaunayMesh& mesh, CellId near_hint) {
   return kNoCell;
 }
 
-namespace {
-
-enum class StepOutcome {
-  Moved,      ///< crossed a face into a neighbour; c/spin updated
-  Contained,  ///< no face separates p from this cell: walk done
-  Disrupted,  ///< dead cell, id out of range, or walked out of the box
-  Retry,      ///< torn snapshot; re-read the same slot
-};
-
-/// One step of the remembering walk. Snapshot semantics are identical to the
-/// historical scalar loop; the four face orientations are evaluated as one
-/// predicate batch (a single vectorized stage-A pass on AVX2 hardware)
-/// instead of up to four early-exited scalar calls, and the crossed face is
-/// then chosen in spin-rotated order from the precomputed signs — the same
-/// face the scalar scan would have picked.
-StepOutcome walk_step(const DelaunayMesh& mesh, const Vec3& p, CellId& c,
-                      int& spin) {
-  // Snapshot the cell under generation re-check: concurrent retirement or
-  // slot reuse during the unlocked walk is detected, not trusted.
-  const std::uint32_t g1 = mesh.cell_gen(c);
-  if ((g1 & 1u) == 0) return StepOutcome::Disrupted;  // dead cell
-  const Cell& cl = mesh.cell(c);
-  // Acquire atomic_ref loads: v may be concurrently rewritten by a commit
-  // recycling this slot (the committer uses release stores). Reading-from
-  // such a store synchronizes-with it, which — via the writer's vertex
-  // locks — orders every vertex position write before our reads below.
-  // A torn *snapshot* (mixed old/new ids) is still possible and merely
-  // sends the walk astray; callers re-validate containment under locks.
-  std::array<VertexId, 4> vs;
-  for (int i = 0; i < 4; ++i) {
-    vs[i] = std::atomic_ref(const_cast<VertexId&>(cl.v[i]))
-                .load(std::memory_order_acquire);
-  }
-  std::array<CellId, 4> ns;
-  for (int i = 0; i < 4; ++i) ns[i] = cl.n[i].load(std::memory_order_acquire);
-  if (mesh.cell_gen(c) != g1) return StepOutcome::Retry;  // torn snapshot
-
-  const std::uint32_t vcount = mesh.vertex_count();
-  std::array<Vec3, 4> pos;
-  for (int i = 0; i < 4; ++i) {
-    if (vs[i] >= vcount) return StepOutcome::Disrupted;
-    pos[i] = mesh.position(vs[i]);
-  }
-
-  Orient3dBatch batch;
-  for (int i = 0; i < 4; ++i) {
-    batch.set_lane(i, pos[kFaceOf[i][0]], pos[kFaceOf[i][1]],
-                   pos[kFaceOf[i][2]], p);
-  }
-  int signs[4];
-  orient3d_batch(batch, 4, signs);
-
-  // Rotating the face scan start index implements the classic "remembering"
-  // walk tie-break that avoids 2-cycles on degenerate inputs.
-  for (int k = 0; k < 4; ++k) {
-    const int i = (k + spin) & 3;
-    if (signs[i] < 0) {
-      const CellId nb = ns[i];
-      if (nb == kNoCell) return StepOutcome::Disrupted;  // out of the box
-      c = nb;
-      ++spin;
-      return StepOutcome::Moved;
-    }
-  }
-  return StepOutcome::Contained;
-}
-
-}  // namespace
-
 LocateResult locate_point(const DelaunayMesh& mesh, const Vec3& p, CellId hint,
                           int max_steps) {
   LocateResult out;
@@ -94,74 +24,54 @@ LocateResult locate_point(const DelaunayMesh& mesh, const Vec3& p, CellId hint,
   CellId c = hint;
   int spin = 0;
   for (int step = 0; step < max_steps; ++step) {
-    switch (walk_step(mesh, p, c, spin)) {
-      case StepOutcome::Contained:
-        out.cell = c;
-        out.ok = true;
-        return out;
-      case StepOutcome::Disrupted:
-        return out;
-      case StepOutcome::Moved:
-      case StepOutcome::Retry:
-        break;  // both consume a step, as the scalar loop always did
+    // Snapshot the cell under generation re-check: concurrent retirement or
+    // slot reuse during the unlocked walk is detected, not trusted.
+    const std::uint32_t g1 = mesh.cell_gen(c);
+    if ((g1 & 1u) == 0) return out;  // dead cell
+    const Cell& cl = mesh.cell(c);
+    // Acquire atomic_ref loads: v may be concurrently rewritten by a commit
+    // recycling this slot (the committer uses release stores). Reading-from
+    // such a store synchronizes-with it, which — via the writer's vertex
+    // locks — orders every vertex position write before our reads below.
+    // A torn *snapshot* (mixed old/new ids) is still possible and merely
+    // sends the walk astray; callers re-validate containment under locks.
+    std::array<VertexId, 4> vs;
+    for (int i = 0; i < 4; ++i) {
+      vs[i] = std::atomic_ref(const_cast<VertexId&>(cl.v[i]))
+                  .load(std::memory_order_acquire);
+    }
+    std::array<CellId, 4> ns;
+    for (int i = 0; i < 4; ++i) ns[i] = cl.n[i].load(std::memory_order_acquire);
+    if (mesh.cell_gen(c) != g1) continue;  // torn snapshot: re-read the slot
+
+    const std::uint32_t vcount = mesh.vertex_count();
+    std::array<Vec3, 4> pos;
+    for (int i = 0; i < 4; ++i) {
+      if (vs[i] >= vcount) return out;
+      pos[i] = mesh.position(vs[i]);
+    }
+
+    // Rotating the face scan start index implements the classic
+    // "remembering" walk tie-break that avoids 2-cycles on degenerate
+    // inputs.
+    bool moved = false;
+    for (int k = 0; k < 4 && !moved; ++k) {
+      const int i = (k + spin) & 3;
+      if (orient3d(pos[kFaceOf[i][0]], pos[kFaceOf[i][1]],
+                   pos[kFaceOf[i][2]], p) < 0) {
+        if (ns[i] == kNoCell) return out;  // walked out of the box
+        c = ns[i];
+        ++spin;
+        moved = true;
+      }
+    }
+    if (!moved) {
+      out.cell = c;
+      out.ok = true;
+      return out;
     }
   }
   return out;  // step limit: heavy churn, let the caller retry
-}
-
-int locate_points(const DelaunayMesh& mesh, const Vec3* pts, int n,
-                  const CellId* hints, LocateResult* out, int max_steps) {
-  PI2M_CHECK(n >= 0 && n <= kMaxLocateBatch,
-             "locate_points batch size out of range");
-  struct WalkState {
-    CellId c = kNoCell;
-    int spin = 0;
-    bool done = false;
-  };
-  std::array<WalkState, kMaxLocateBatch> walks;
-
-  int remaining = 0;
-  for (int w = 0; w < n; ++w) {
-    out[w] = LocateResult{};
-    if (hints[w] == kNoCell || hints[w] >= mesh.cell_slot_count()) {
-      walks[w].done = true;
-      continue;
-    }
-    walks[w].c = hints[w];
-    ++remaining;
-  }
-
-  for (int step = 0; step < max_steps && remaining > 0; ++step) {
-    // Software pipelining: touch every active walk's current cell before
-    // stepping any of them, so the (likely) cache misses of independent
-    // walks overlap instead of serializing.
-    for (int w = 0; w < n; ++w) {
-      if (!walks[w].done) __builtin_prefetch(&mesh.cell(walks[w].c));
-    }
-    for (int w = 0; w < n; ++w) {
-      WalkState& ws = walks[w];
-      if (ws.done) continue;
-      switch (walk_step(mesh, pts[w], ws.c, ws.spin)) {
-        case StepOutcome::Contained:
-          out[w].cell = ws.c;
-          out[w].ok = true;
-          ws.done = true;
-          --remaining;
-          break;
-        case StepOutcome::Disrupted:
-          ws.done = true;
-          --remaining;
-          break;
-        case StepOutcome::Moved:
-        case StepOutcome::Retry:
-          break;
-      }
-    }
-  }
-
-  int ok = 0;
-  for (int w = 0; w < n; ++w) ok += out[w].ok ? 1 : 0;
-  return ok;
 }
 
 }  // namespace pi2m

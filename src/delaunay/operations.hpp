@@ -118,18 +118,6 @@ struct LocateResult {
 LocateResult locate_point(const DelaunayMesh& mesh, const Vec3& p, CellId hint,
                           int max_steps = 8192);
 
-/// Batched point location: walks up to kMaxLocateBatch independent points
-/// in lockstep, prefetching every active walk's current cell before
-/// stepping any of them so the cache misses of independent walks overlap
-/// (software pipelining). Each walk produces exactly the result the scalar
-/// locate_point would: the batching is across queries, per-query semantics
-/// are unchanged, and the batch degrades gracefully — finished or disrupted
-/// walks drop out while the rest continue. Returns the number of walks that
-/// ended with ok == true.
-inline constexpr int kMaxLocateBatch = 4;
-int locate_points(const DelaunayMesh& mesh, const Vec3* pts, int n,
-                  const CellId* hints, LocateResult* out, int max_steps = 8192);
-
 /// Scans cell slots starting at `near_hint` (wrapping) for any alive cell;
 /// used to restart a walk whose hint died. kNoCell when the mesh has no
 /// alive cells (never happens for a constructed mesh).

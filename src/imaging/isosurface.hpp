@@ -49,16 +49,12 @@ class IsosurfaceOracle {
 
   /// Reference implementations of the two walks above: fixed-lattice scalar
   /// sampling at `step()` intervals (the paper's description, verbatim).
-  /// Kept as the parity baseline for the DDA walks and for A/B benchmarks.
+  /// Not used by meshing: kept as the oracle the DDA walks are tested
+  /// against, and as a micro-benchmark baseline.
   [[nodiscard]] std::optional<Vec3> closest_surface_point_reference(
       const Vec3& p) const;
   [[nodiscard]] std::optional<Vec3> segment_surface_intersection_reference(
       const Vec3& a, const Vec3& b) const;
-
-  /// Selects between the Amanatides–Woo voxel-DDA walks (default) and the
-  /// reference scalar sampling walks for the public query entry points.
-  void set_use_dda(bool on) { use_dda_ = on; }
-  [[nodiscard]] bool uses_dda() const { return use_dda_; }
 
   /// True when the ball of center c and radius r intersects ∂O; implemented
   /// as |c - closest_surface_point(c)| <= r. Used by rules R1/R2.
@@ -104,7 +100,7 @@ class IsosurfaceOracle {
 
   /// First label transition along segment [a,b], located by an integer
   /// Amanatides–Woo voxel traversal of the label grid and refined by
-  /// bisection. The workhorse behind both DDA-mode public walks.
+  /// bisection. The workhorse behind both public walks.
   [[nodiscard]] std::optional<Vec3> first_transition_dda(const Vec3& a,
                                                          const Vec3& b) const;
 
@@ -114,7 +110,6 @@ class IsosurfaceOracle {
   double step_;
   double voxel_diag_;
   Vec3 inv_sp_;
-  bool use_dda_ = true;
 };
 
 }  // namespace pi2m

@@ -13,18 +13,13 @@
 //    BL2 of their blade, then BL3, which keeps stolen work local and
 //    reduces inter-blade traffic (paper Fig. 5b).
 //
-// Two interchangeable implementations per scheme:
-//
-//  * SchedulerImpl::LockFree (default) — each level is a fixed-capacity
-//    array of atomic tid slots. The paper's occupancy caps
-//    (threads_per_socket-1 / sockets_per_blade-1 / one-per-blade) make the
-//    arrays small; a beggar claims an empty slot with one CAS, a giver
-//    claims a beggar with one CAS, and cancel is an O(levels) scan over
-//    the thread's own slots. Level capacities sum to threads_per_blade, so
-//    a begging thread always finds a slot in its own blade.
-//  * SchedulerImpl::Mutex — the original mutex + deque implementation,
-//    kept as an escape hatch (--mutex-scheduler) and as the A/B baseline
-//    for BENCH_scheduler.json.
+// Each level is a fixed-capacity array of atomic tid slots. The paper's
+// occupancy caps (threads_per_socket-1 / sockets_per_blade-1 /
+// one-per-blade) make the arrays small; a beggar claims an empty slot with
+// one CAS, a giver claims a beggar with one CAS, and cancel is an
+// O(levels) scan over the thread's own slots. Level capacities sum to
+// threads_per_blade, so a begging thread always finds a slot in its own
+// blade.
 //
 // The actual blocking loop lives in the refiner (it must also watch its
 // inbox and the done flag); the balancer only manages membership, the
@@ -42,10 +37,8 @@
 namespace pi2m {
 
 enum class LbKind : std::uint8_t { RWS, HWS };
-enum class SchedulerImpl : std::uint8_t { LockFree, Mutex };
 
 const char* to_string(LbKind k);
-const char* to_string(SchedulerImpl s);
 
 /// Locality of a work transfer, measured against the virtual topology.
 enum class StealLevel : std::uint8_t { IntraSocket = 0, IntraBlade = 1, InterBlade = 2 };
@@ -105,8 +98,7 @@ class LoadBalancer {
   std::vector<Flag> begging_;
 };
 
-std::unique_ptr<LoadBalancer> make_load_balancer(
-    LbKind kind, const Topology& topo,
-    SchedulerImpl impl = SchedulerImpl::LockFree);
+std::unique_ptr<LoadBalancer> make_load_balancer(LbKind kind,
+                                                 const Topology& topo);
 
 }  // namespace pi2m

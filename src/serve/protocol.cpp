@@ -146,8 +146,6 @@ bool decode_job(const JsonValue& j, JobSpec* spec, std::string* error) {
     *error = "lattice_spacing must be non-negative";
     return false;
   }
-  spec->mesh.use_reference_walks =
-      j["reference_walks"].as_bool(spec->mesh.use_reference_walks);
   if (j["smooth"].is_number()) {
     spec->smooth = static_cast<int>(j["smooth"].as_int());
   }

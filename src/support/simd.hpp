@@ -1,32 +1,12 @@
-// SIMD dispatch layer for the batched geometric core.
+// Host vector-capability probe and a portable fixed-lane helper.
 //
-// One binary runs everywhere: vector kernels are compiled with per-function
-// target attributes (no global -mavx2), selected at runtime from CPUID.
-// Two levels exist — kScalar (portable, always available) and kAvx2
-// (4-wide double lanes; requires AVX2+FMA hardware, though the filter
-// kernels deliberately use separate mul/add so their rounding matches the
-// -ffp-contract=off scalar code bit for bit).
-//
-// Selection order:
-//   1. a programmatic override (force_simd_level / clear_simd_override),
-//      used by tests and the pi2m_fuzz SIMD-parity mode;
-//   2. the PI2M_SIMD environment variable ("avx2" | "scalar");
-//   3. CPUID detection.
-// Requests for unavailable levels clamp down to kScalar.
-//
-// Building with -DPI2M_SIMD=OFF (CMake) defines PI2M_SIMD_DISABLED and
-// removes the vector kernels entirely; every query then reports kScalar.
+// active_level() reports what the CPU offers (CPUID): kAvx2 when the host
+// supports AVX2, kScalar otherwise. Nothing in the meshing path dispatches
+// on it; it is recorded in benchmark host fingerprints so a result names
+// the hardware that produced it. DVec4 gives data-parallel loops (the EDT
+// sweeps) a fixed 4-lane shape the autovectorizer maps to SSE2/AVX code at
+// the baseline target.
 #pragma once
-
-#include <atomic>
-#include <cstdlib>
-#include <cstring>
-
-#if defined(__x86_64__) && !defined(PI2M_SIMD_DISABLED)
-#define PI2M_SIMD_AVX2 1
-#else
-#define PI2M_SIMD_AVX2 0
-#endif
 
 namespace pi2m::simd {
 
@@ -35,52 +15,15 @@ enum class Level : int {
   kAvx2 = 1,
 };
 
-namespace detail {
-
-inline std::atomic<int> g_override{-1};
-
-inline Level detect_level() {
-#if PI2M_SIMD_AVX2
-  bool have_avx2 = __builtin_cpu_supports("avx2") != 0;
-  if (const char* env = std::getenv("PI2M_SIMD")) {
-    if (std::strcmp(env, "scalar") == 0) return Level::kScalar;
-    // "avx2" (or anything else) keeps hardware detection authoritative:
-    // requesting a level the CPU lacks clamps down to scalar.
-  }
-  return have_avx2 ? Level::kAvx2 : Level::kScalar;
+/// The host's vector level, probed once.
+inline Level active_level() {
+#if defined(__x86_64__)
+  static const Level detected =
+      __builtin_cpu_supports("avx2") ? Level::kAvx2 : Level::kScalar;
+  return detected;
 #else
   return Level::kScalar;
 #endif
-}
-
-}  // namespace detail
-
-/// The level the dispatched kernels will actually run at, honouring any
-/// override, then PI2M_SIMD, then CPUID. Cheap enough for per-batch calls
-/// (one relaxed atomic load in the common no-override case).
-inline Level active_level() {
-  const int o = detail::g_override.load(std::memory_order_relaxed);
-  if (o >= 0) return static_cast<Level>(o);
-  static const Level detected = detail::detect_level();
-  return detected;
-}
-
-/// Force a dispatch level for this process (clamped to what the build and
-/// hardware support). Used by --no-simd, tests, and fuzz parity runs.
-inline void force_simd_level(Level level) {
-#if !PI2M_SIMD_AVX2
-  level = Level::kScalar;
-#else
-  if (level == Level::kAvx2 && !__builtin_cpu_supports("avx2")) {
-    level = Level::kScalar;
-  }
-#endif
-  detail::g_override.store(static_cast<int>(level), std::memory_order_relaxed);
-}
-
-/// Return to environment/CPUID-driven selection.
-inline void clear_simd_override() {
-  detail::g_override.store(-1, std::memory_order_relaxed);
 }
 
 inline const char* level_name(Level level) {
@@ -91,8 +34,7 @@ inline const char* level_name(Level level) {
 // Portable fixed-width lane helper for code that wants data-parallel shape
 // without per-function target attributes (EDT sweeps, distance loops). The
 // ops below compile to SSE2 pairs at baseline -O2 and the fixed 4-lane
-// structure keeps gcc's autovectorizer engaged; the hot predicate filters
-// use real AVX2 intrinsics in predicates_simd.cpp instead.
+// structure keeps gcc's autovectorizer engaged.
 // ---------------------------------------------------------------------------
 
 struct DVec4 {

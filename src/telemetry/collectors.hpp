@@ -15,7 +15,6 @@
 #include "metrics/hausdorff.hpp"
 #include "metrics/quality.hpp"
 #include "predicates/predicates.hpp"
-#include "predicates/predicates_simd.hpp"
 #include "runtime/stats.hpp"
 #include "telemetry/metrics_registry.hpp"
 
@@ -58,7 +57,7 @@ inline void collect_outcome(MetricsRegistry& r, const RefineOutcome& o) {
   r.set("rules.r3", o.rule_counts[3]);
   r.set("rules.r4", o.rule_counts[4]);
   r.set("rules.r5", o.rule_counts[5]);
-  // Geometry-cache effectiveness (all zero when RefinerOptions disabled it).
+  // Geometry-cache effectiveness.
   r.set("classify.cache.hits", o.classify_cache_hits);
   r.set("classify.cache.misses", o.classify_cache_misses);
   const double cache_total =
@@ -87,24 +86,6 @@ inline void collect_predicates(MetricsRegistry& r,
   r.set("predicates.insphere_calls", c.insphere_calls);
   r.set("predicates.insphere_adapt", c.insphere_adapt);
   r.set("predicates.insphere_exact", c.insphere_exact);
-}
-
-inline void collect_simd_predicates(MetricsRegistry& r,
-                                    const SimdPredicateCounters& c) {
-  r.set("predicates.simd.orient3d_batches", c.orient3d_batches);
-  r.set("predicates.simd.orient3d_lanes", c.orient3d_lanes);
-  r.set("predicates.simd.orient3d_fallback", c.orient3d_fallback);
-  r.set("predicates.simd.insphere_batches", c.insphere_batches);
-  r.set("predicates.simd.insphere_lanes", c.insphere_lanes);
-  r.set("predicates.simd.insphere_fallback", c.insphere_fallback);
-  const double lanes =
-      static_cast<double>(c.orient3d_lanes + c.insphere_lanes);
-  const double fallback =
-      static_cast<double>(c.orient3d_fallback + c.insphere_fallback);
-  // Fraction of batched lanes the vector filter could NOT certify (they
-  // fell back to the scalar adaptive/exact ladder). 0 = every lane was
-  // sign-certified by the SIMD stage-A filter.
-  r.set("predicates.simd.fallback_rate", lanes > 0.0 ? fallback / lanes : 0.0);
 }
 
 inline void collect_mesh(MetricsRegistry& r, const TetMesh& m) {

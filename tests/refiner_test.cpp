@@ -187,17 +187,6 @@ INSTANTIATE_TEST_SUITE_P(
         std::make_tuple(3, CmKind::Aggressive, LbKind::RWS),
         std::make_tuple(8, CmKind::Local, LbKind::HWS)));
 
-TEST(RefinerParallelSched, MutexSchedulerMatchesInvariants) {
-  // The escape hatch (--mutex-scheduler) must pass the exact same
-  // invariants as the default lock-free scheduler.
-  const LabeledImage3D img = phantom::concentric_shells(20);
-  RefinerOptions opt = base_options(2.5, 4);
-  opt.mutex_scheduler = true;
-  Refiner refiner(img, opt);
-  const RefineOutcome out = refiner.refine();
-  check_refined(refiner, out);
-}
-
 TEST(RefinerParallelSched, PinAndAutoTopologySmoke) {
   // --pin + --topology=auto on whatever host runs the tests: pinning is
   // best-effort and must never affect the result invariants.

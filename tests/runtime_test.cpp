@@ -343,26 +343,11 @@ TEST(LoadBalancer, WorkFlagsHandshake) {
   EXPECT_TRUE(lb->work_flag(1).load());
 }
 
-// Both implementations must satisfy the same begging-list contract; the
-// remaining suites parametrize over the impl.
-class LoadBalancerImpl : public ::testing::TestWithParam<SchedulerImpl> {};
-
-TEST_P(LoadBalancerImpl, RwsFifoSemantics) {
-  const Topology topo(4, {2, 2});
-  auto lb = make_load_balancer(LbKind::RWS, topo, GetParam());
-  lb->enqueue_beggar(2);
-  lb->enqueue_beggar(3);
-  StealLevel lvl{};
-  EXPECT_EQ(lb->pop_beggar(0, &lvl), 2);
-  EXPECT_EQ(lb->pop_beggar(0, &lvl), 3);
-  EXPECT_EQ(lb->pop_beggar(0, &lvl), -1);
-}
-
-TEST_P(LoadBalancerImpl, HwsLocalityOrder) {
+TEST(LoadBalancer, HwsLocalityOrder) {
   // The HWS invariant: a giver always serves its own socket's BL1 first,
   // then its blade's BL2, then BL3 — regardless of begging order.
   const Topology topo(8, {2, 2});
-  auto lb = make_load_balancer(LbKind::HWS, topo, GetParam());
+  auto lb = make_load_balancer(LbKind::HWS, topo);
   StealLevel lvl{};
   lb->enqueue_beggar(7);  // BL1 socket 3 — invisible to giver 0
   lb->enqueue_beggar(3);  // BL1 socket 1 — invisible to giver 0
@@ -377,11 +362,11 @@ TEST_P(LoadBalancerImpl, HwsLocalityOrder) {
   EXPECT_EQ(lvl, StealLevel::IntraSocket);
 }
 
-TEST_P(LoadBalancerImpl, StillBeggingToken) {
+TEST(LoadBalancer, StillBeggingToken) {
   // The lost-wakeup contract: the token is set by enqueue, survives
   // pop_beggar, and is cleared only by the beggar's own cancel.
   const Topology topo(4, {2, 2});
-  auto lb = make_load_balancer(LbKind::HWS, topo, GetParam());
+  auto lb = make_load_balancer(LbKind::HWS, topo);
   EXPECT_FALSE(lb->still_begging(1));
   lb->enqueue_beggar(1);
   EXPECT_TRUE(lb->still_begging(1));
@@ -392,12 +377,12 @@ TEST_P(LoadBalancerImpl, StillBeggingToken) {
   EXPECT_FALSE(lb->still_begging(1));
 }
 
-TEST_P(LoadBalancerImpl, ConcurrentEnqueuePopCancelStress) {
+TEST(LoadBalancer, ConcurrentEnqueuePopCancelStress) {
   // Beggars enqueue/cancel while givers pop. Invariants checked: a beggar
   // is never handed out twice per enqueue (claim counter), and the list
   // drains to empty at the end.
   const Topology topo(8, {2, 2});
-  auto lb = make_load_balancer(LbKind::HWS, topo, GetParam());
+  auto lb = make_load_balancer(LbKind::HWS, topo);
   constexpr int kBeggars = 6, kRounds = 2000;
   std::array<std::atomic<int>, kBeggars> claimed{};
   std::atomic<bool> stop{false};
@@ -441,13 +426,6 @@ TEST_P(LoadBalancerImpl, ConcurrentEnqueuePopCancelStress) {
   EXPECT_FALSE(lb->any_beggar());
   for (int b = 0; b < kBeggars; ++b) EXPECT_FALSE(lb->still_begging(b));
 }
-
-INSTANTIATE_TEST_SUITE_P(Impls, LoadBalancerImpl,
-                         ::testing::Values(SchedulerImpl::LockFree,
-                                           SchedulerImpl::Mutex),
-                         [](const auto& info) {
-                           return std::string(to_string(info.param));
-                         });
 
 // --- MPSC inbox ring ------------------------------------------------------
 

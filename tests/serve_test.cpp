@@ -310,6 +310,48 @@ TEST(ServeHistogram, PercentilesAreOrderedAndPlausible) {
   EXPECT_GT(reg.f64("serve.latency.mesh.p99_sec"), 0.0);
 }
 
+TEST(ServeHistogram, SingleSampleNeverExceedsMax) {
+  // One 520 µs sample: a power-of-two bucket midpoint would report 724 µs.
+  telemetry::LatencyHistogram h;
+  h.record_sec(520e-6);
+  const auto s = h.snapshot();
+  EXPECT_EQ(s.count, 1u);
+  EXPECT_NEAR(s.max_sec, 520e-6, 1e-9);
+  EXPECT_LE(s.p50_sec, s.max_sec);
+  EXPECT_LE(s.p99_sec, s.max_sec);
+  EXPECT_GT(s.p50_sec, 0.9 * 520e-6);
+}
+
+TEST(ServeHistogram, SubOctaveResolution) {
+  // 1..100 ms in 1 ms steps: the true p50/p90 are 50 and 90 ms, all inside
+  // one or two octaves, so distinct percentiles need sub-octave buckets.
+  telemetry::LatencyHistogram h;
+  for (int ms = 1; ms <= 100; ++ms) h.record_sec(ms * 1e-3);
+  const auto s = h.snapshot();
+  EXPECT_EQ(s.count, 100u);
+  EXPECT_NEAR(s.p50_sec, 50e-3, 0.1 * 50e-3);
+  EXPECT_NEAR(s.p90_sec, 90e-3, 0.1 * 90e-3);
+  // One power-of-two bucket (65.5..131 ms) holds 66..100 ms: p90 and p99
+  // must still differ.
+  EXPECT_LT(s.p50_sec, s.p90_sec);
+  EXPECT_LT(s.p90_sec, s.p99_sec);
+  EXPECT_LE(s.p99_sec, s.max_sec);
+}
+
+TEST(ServeHistogram, EstimatesClampedToMaxAcrossScales) {
+  // Identical samples at many magnitudes: every percentile lands in the
+  // sample's own bucket and none may exceed the recorded maximum.
+  for (double sec : {1e-6, 3e-6, 7e-6, 9e-6, 130e-6, 520e-6, 1.5e-3, 0.77,
+                     42.0}) {
+    telemetry::LatencyHistogram h;
+    for (int i = 0; i < 5; ++i) h.record_sec(sec);
+    const auto s = h.snapshot();
+    EXPECT_LE(s.p50_sec, s.max_sec) << sec;
+    EXPECT_LE(s.p99_sec, s.max_sec) << sec;
+    EXPECT_GE(s.p50_sec, 0.9 * s.max_sec) << sec;
+  }
+}
+
 // ---------- EDT cache ----------
 
 TEST(ServeEdtCache, HitMissEvictionAndPinning) {

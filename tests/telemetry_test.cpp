@@ -9,6 +9,7 @@
 #include <thread>
 #include <vector>
 
+#include "support/simd.hpp"
 #include "telemetry/json_writer.hpp"
 #include "telemetry/metrics_registry.hpp"
 #include "telemetry/run_manifest.hpp"
@@ -405,6 +406,20 @@ TEST(RunManifestTest, WriteAndSchema) {
 
   // Phase order is insertion order (edt before refine).
   EXPECT_LT(text.find("\"edt\""), text.find("\"refine\""));
+}
+
+TEST(HostFingerprint, SimdLevelMatchesCpuid) {
+  // Benchmark fingerprints record the host's vector level by name.
+  namespace simd = pi2m::simd;
+#if defined(__x86_64__)
+  EXPECT_EQ(simd::active_level(), __builtin_cpu_supports("avx2")
+                                      ? simd::Level::kAvx2
+                                      : simd::Level::kScalar);
+#else
+  EXPECT_EQ(simd::active_level(), simd::Level::kScalar);
+#endif
+  EXPECT_STREQ(simd::level_name(simd::Level::kScalar), "scalar");
+  EXPECT_STREQ(simd::level_name(simd::Level::kAvx2), "avx2");
 }
 
 }  // namespace

@@ -21,7 +21,7 @@ run_one() {
   cmake -B "$dir" -S . -DPI2M_SANITIZE="$kind" >/dev/null
   cmake --build "$dir" -j "$(nproc)" --target \
     delaunay_test runtime_test torture_test property_test \
-    staged_predicates_test predicates_simd_test telemetry_test check_test \
+    staged_predicates_test telemetry_test check_test \
     classify_cache_test serve_test lattice_test hausdorff_threads_test \
     post_parity_test metrics_io_test pi2m_fuzz
   # halt_on_error: fail the test run on the first report instead of racing on.

@@ -9,21 +9,20 @@ Reports, without opening a browser:
   * contention-manager wait time, and the dropped-event counter.
 
 With `--manifest MANIFEST.json` (the `--json-report` output of the same
-run) it additionally reports the SIMD predicate-filter economics: batched
-lanes, the fraction the vector stage-A filter certified directly (hits)
-versus lanes that fell back to the scalar adaptive/exact ladder, per
-predicate kind — alongside the per-phase wall times so the rates can be
-read against the phases that issue the batches (refine dominates; the EDT
-passes use the fixed-lane arithmetic that never falls back) — and the
-element-throughput economics of the hybrid interior fill: elements/s,
-us/element, the interior (BCC template) vs shell (Delaunay) tet split,
-and the lattice fill/seed counters.
+run) it additionally reports the element-throughput economics of the
+hybrid interior fill: elements/s, us/element, the interior (BCC template)
+vs shell (Delaunay) tet split, and the lattice fill/seed counters.
 
 With two trace files, prints the two summaries side by side (e.g. to
 compare contention managers or thread counts on the same input).
 
+With `--diff A.json B.json` (two run manifests), prints every manifest
+phase of the two runs side by side with the delta B - A, in seconds and
+percent.
+
 Usage: tools/trace_summary.py TRACE.json [OTHER_TRACE.json]
                               [--manifest MANIFEST.json]
+       tools/trace_summary.py --diff A.json B.json
 """
 
 import argparse
@@ -124,37 +123,6 @@ def summarize(doc):
     return s
 
 
-def simd_filter_section(manifest_path):
-    """SIMD filter hit/fallback rates from a pi2m run manifest."""
-    with open(manifest_path) as f:
-        man = json.load(f)
-    metrics = man.get("metrics", {})
-    rows = {}
-
-    def rate_row(kind):
-        lanes = metrics.get(f"predicates.simd.{kind}_lanes", 0)
-        fallback = metrics.get(f"predicates.simd.{kind}_fallback", 0)
-        batches = metrics.get(f"predicates.simd.{kind}_batches", 0)
-        if lanes:
-            hit = 100.0 * (lanes - fallback) / lanes
-            rows[kind] = (f"{int(lanes):>10} lanes in {int(batches)} batches, "
-                          f"{hit:.2f}% filter hits, "
-                          f"{100.0 - hit:.2f}% scalar fallback")
-        else:
-            rows[kind] = "no batched calls"
-
-    rate_row("orient3d")
-    rate_row("insphere")
-    if "predicates.simd.fallback_rate" in metrics:
-        rows["overall fallback"] = (
-            f"{100.0 * metrics['predicates.simd.fallback_rate']:.2f}%")
-    # Phase wall times from the manifest, so the rates above can be read
-    # against the phases that issue the batches.
-    for name, sec in sorted(man.get("phases", {}).items()):
-        rows[f"phase {name}"] = f"{sec:.3f} s"
-    return rows
-
-
 def throughput_section(manifest_path):
     """Element throughput + hybrid interior-fill economics from a manifest."""
     with open(manifest_path) as f:
@@ -212,20 +180,63 @@ def print_pair(a, b, name_a, name_b):
         print()
 
 
+def load_manifest(path):
+    with open(path) as f:
+        man = json.load(f)
+    if "phases" not in man:
+        sys.exit(f"{path}: not a run manifest (no 'phases' key)")
+    return man
+
+
+def print_diff(path_a, path_b):
+    """Manifest phases of two runs side by side with their deltas."""
+    pa = load_manifest(path_a)["phases"]
+    pb = load_manifest(path_b)["phases"]
+    names = list(dict.fromkeys(list(pa) + list(pb)))
+    # No total row: phases nest (refine includes lattice_fill/lattice_seed),
+    # so their sum is not the job time.
+    rows = [(n, pa.get(n), pb.get(n)) for n in names]
+    nw = max(len(n) for n, _, _ in rows)
+    print(f"A = {path_a}")
+    print(f"B = {path_b}")
+    print(f"  {'phase':<{nw}}  {'A (s)':>9}  {'B (s)':>9}  "
+          f"{'B-A (s)':>9}  {'B-A':>8}")
+    for name, a, b in rows:
+        fa = f"{a:9.3f}" if a is not None else f"{'-':>9}"
+        fb = f"{b:9.3f}" if b is not None else f"{'-':>9}"
+        if a is None or b is None:
+            delta, pct = f"{'-':>9}", f"{'-':>8}"
+        else:
+            delta = f"{b - a:+9.3f}"
+            pct = f"{100.0 * (b - a) / a:+7.1f}%" if a > 0 else f"{'-':>8}"
+        print(f"  {name:<{nw}}  {fa}  {fb}  {delta}  {pct}")
+
+
 def main():
     ap = argparse.ArgumentParser(
         description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
-    ap.add_argument("trace", help="Chrome trace JSON from pi2m --trace")
+    ap.add_argument("trace", nargs="?",
+                    help="Chrome trace JSON from pi2m --trace")
     ap.add_argument("other", nargs="?",
                     help="second trace: print both summaries side by side")
     ap.add_argument("--manifest",
                     help="pi2m run manifest (--json-report) of the same run: "
-                         "adds SIMD filter hit/fallback rates per phase")
+                         "adds element-throughput and lattice counters")
+    ap.add_argument("--diff", nargs=2, metavar=("A.json", "B.json"),
+                    help="two run manifests: print their phases side by "
+                         "side with the delta B - A")
     args = ap.parse_args()
+
+    if args.diff:
+        if args.trace or args.manifest:
+            ap.error("--diff takes two manifests and no trace")
+        print_diff(*args.diff)
+        return
+    if args.trace is None:
+        ap.error("a trace file (or --diff A.json B.json) is required")
 
     first = summarize(load_trace(args.trace))
     if args.manifest:
-        first["simd predicate filter"] = simd_filter_section(args.manifest)
         first["element throughput"] = throughput_section(args.manifest)
     if args.other is None:
         print_single(first)
