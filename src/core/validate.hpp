@@ -38,9 +38,10 @@ struct MeshValidation {
 ///    triangles), reported but not fatal (multi-material junction lines
 ///    legitimately have >2);
 ///  * counts connected components of the element graph.
-/// The element checks and the face sort run on `threads` threads
-/// (0 = post_threads(tets)); the result, `errors` order included, is the
-/// same at any thread count.
+/// Every pass runs on `threads` threads (0 = post_threads(tets)): the
+/// element checks on tet blocks, the face, boundary and edge checks on
+/// vertex ranges. The result, `errors` order included, is the same at any
+/// thread count.
 MeshValidation validate_mesh(const TetMesh& mesh, int threads = 0);
 
 }  // namespace pi2m

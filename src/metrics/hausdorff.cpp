@@ -1,9 +1,10 @@
 #include "metrics/hausdorff.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
+#include <cstdint>
 #include <limits>
-#include <unordered_map>
 #include <vector>
 
 #include "support/parallel_for.hpp"
@@ -84,98 +85,169 @@ double point_triangle_distance(const Vec3& p, const Vec3& a, const Vec3& b,
 
 namespace {
 
-/// Uniform grid over boundary triangles for nearest-triangle queries.
+/// Dense uniform grid over the boundary triangles, in CSR form: cell c
+/// lists the triangles whose bounding box overlaps it, in triangle order.
+/// The grid spans the boundary's bounding box. Its cells are at least
+/// `min_cell` wide and grow until there are at most 2 per triangle (plus a
+/// few), so a small mesh in a large image gets a small table.
 class TriangleGrid {
  public:
-  TriangleGrid(const TetMesh& mesh, double cell) : mesh_(mesh), cell_(cell) {
-    for (const auto& p : mesh.points) bounds_.expand(p);
-    for (std::size_t t = 0; t < mesh.boundary_tris.size(); ++t) {
-      Aabb bb;
-      for (int k = 0; k < 3; ++k) bb.expand(mesh_.points[mesh_.boundary_tris[t][k]]);
-      for_cells(bb, [&](std::int64_t key) {
-        cells_[key].push_back(static_cast<std::uint32_t>(t));
-      });
+  TriangleGrid(const TetMesh& mesh, double min_cell, int threads)
+      : mesh_(mesh) {
+    const std::size_t ntris = mesh.boundary_tris.size();
+    for (const auto& f : mesh.boundary_tris) {
+      for (const std::uint32_t v : f) bounds_.expand(mesh.points[v]);
     }
+    const Vec3 ext = bounds_.extent();
+    const double budget = 2.0 * static_cast<double>(ntris) + 64.0;
+    cell_ = std::max(min_cell, std::cbrt(ext.x * ext.y * ext.z / budget));
+    if (!(cell_ > 0.0) || !std::isfinite(norm2(ext))) {
+      // Degenerate input: one infinite cell holds every triangle.
+      cell_ = std::numeric_limits<double>::infinity();
+      n_ = {1, 1, 1};
+    } else {
+      for (;;) {
+        for (int a = 0; a < 3; ++a) {
+          n_[a] = cell_of(bounds_.hi[a], a, 0, kMaxCells) + 1;
+        }
+        if (static_cast<double>(n_[0]) * n_[1] * n_[2] <= budget) break;
+        cell_ *= 1.25;
+      }
+    }
+    const auto cells = static_cast<std::size_t>(n_[0]) * n_[1] * n_[2];
+    grid_ = bucket_scatter<std::uint32_t>(
+        ntris, cells, static_cast<std::size_t>(std::max(1, threads)),
+        [this](std::size_t t, auto&& out) {
+          std::array<int, 3> lo{}, hi{};
+          cell_range(mesh_.boundary_tris[t], lo, hi);
+          for (int z = lo[2]; z <= hi[2]; ++z)
+            for (int y = lo[1]; y <= hi[1]; ++y)
+              for (int x = lo[0]; x <= hi[0]; ++x)
+                out(index(x, y, z), static_cast<std::uint32_t>(t));
+        });
   }
 
-  /// Nearest-triangle distance via expanding ring search.
-  [[nodiscard]] double distance_to(const Vec3& p) const {
+  /// Distance from p to the nearest boundary triangle by an expanding ring
+  /// search, or, as soon as a triangle lies within `enough` of p, that
+  /// triangle's distance. `tests` counts the point-triangle evaluations.
+  [[nodiscard]] double distance_to(const Vec3& p, double enough,
+                                   std::uint64_t& tests) const {
+    // p's cell, which may lie outside the grid (clamped so that no ring
+    // index below overflows).
+    std::array<int, 3> c{};
+    int first = 0, last = 0;  // the rings that meet the grid
+    for (int a = 0; a < 3; ++a) {
+      c[a] = cell_of(p[a], a, -kMaxCells, n_[a] - 1 + kMaxCells);
+      first = std::max({first, -c[a], c[a] - (n_[a] - 1)});
+      last = std::max({last, c[a], n_[a] - 1 - c[a]});
+    }
     double best = std::numeric_limits<double>::infinity();
-    for (int ring = 0; ring < 64; ++ring) {
-      visit_ring(p, ring, [&](std::uint32_t t) {
-        const auto& f = mesh_.boundary_tris[t];
+    const auto visit = [&](std::size_t cell_lo, std::size_t cell_hi) {
+      for (std::size_t i = grid_.start[cell_lo]; i < grid_.start[cell_hi];
+           ++i) {
+        const auto& f = mesh_.boundary_tris[grid_.items[i]];
         best = std::min(best,
                         point_triangle_distance(p, mesh_.points[f[0]],
                                                 mesh_.points[f[1]],
                                                 mesh_.points[f[2]]));
-      });
-      // Once a candidate exists, one more ring guarantees correctness
-      // (anything outside ring+1 is farther than ring*cell >= best).
+        ++tests;
+        if (best <= enough) return true;
+      }
+      return false;
+    };
+    for (int ring = first; ring <= last; ++ring) {
+      // The shell of cells at Chebyshev distance `ring` from c, clipped to
+      // the grid: whole x rows on its two z faces and two y faces, and the
+      // two end cells of every other row.
+      const int x0 = std::max(0, c[0] - ring);
+      const int x1 = std::min(n_[0] - 1, c[0] + ring);
+      const int y0 = std::max(0, c[1] - ring);
+      const int y1 = std::min(n_[1] - 1, c[1] + ring);
+      const int z0 = std::max(0, c[2] - ring);
+      const int z1 = std::min(n_[2] - 1, c[2] + ring);
+      for (int z = z0; z <= z1; ++z) {
+        const bool z_face = std::abs(z - c[2]) == ring;
+        for (int y = y0; y <= y1; ++y) {
+          if (z_face || std::abs(y - c[1]) == ring) {
+            if (x0 <= x1 && visit(index(x0, y, z), index(x1, y, z) + 1)) {
+              return best;
+            }
+            continue;
+          }
+          for (const int x : {c[0] - ring, c[0] + ring}) {
+            const std::size_t i = index(x, y, z);
+            if (x >= 0 && x < n_[0] && visit(i, i + 1)) return best;
+          }
+        }
+      }
+      // p lies in cell c, so a triangle in no cell of rings <= `ring` is
+      // farther than ring * cell: once best is below that it is exact.
       if (best < ring * cell_) break;
     }
     return best;
   }
 
  private:
-  [[nodiscard]] std::int64_t key_of(int x, int y, int z) const {
-    const std::int64_t off = 1 << 20;
-    return ((static_cast<std::int64_t>(x) + off) << 42) |
-           ((static_cast<std::int64_t>(y) + off) << 21) |
-           (static_cast<std::int64_t>(z) + off);
-  }
-  [[nodiscard]] int coord(double v, double o) const {
-    return static_cast<int>(std::floor((v - o) / cell_));
+  [[nodiscard]] std::size_t index(int x, int y, int z) const {
+    return (static_cast<std::size_t>(z) * n_[1] + y) * n_[0] + x;
   }
 
-  template <typename Fn>
-  void for_cells(const Aabb& bb, Fn&& fn) {
-    for (int z = coord(bb.lo.z, bounds_.lo.z); z <= coord(bb.hi.z, bounds_.lo.z); ++z)
-      for (int y = coord(bb.lo.y, bounds_.lo.y); y <= coord(bb.hi.y, bounds_.lo.y); ++y)
-        for (int x = coord(bb.lo.x, bounds_.lo.x); x <= coord(bb.hi.x, bounds_.lo.x); ++x)
-          fn(key_of(x, y, z));
-  }
-
-  template <typename Fn>
-  void visit_ring(const Vec3& p, int ring, Fn&& fn) const {
-    const int cx = coord(p.x, bounds_.lo.x);
-    const int cy = coord(p.y, bounds_.lo.y);
-    const int cz = coord(p.z, bounds_.lo.z);
-    for (int dz = -ring; dz <= ring; ++dz) {
-      for (int dy = -ring; dy <= ring; ++dy) {
-        for (int dx = -ring; dx <= ring; ++dx) {
-          if (std::max({std::abs(dx), std::abs(dy), std::abs(dz)}) != ring)
-            continue;  // shell only
-          const auto it = cells_.find(key_of(cx + dx, cy + dy, cz + dz));
-          if (it == cells_.end()) continue;
-          for (std::uint32_t t : it->second) fn(t);
-        }
+  /// The cells the bounding box of triangle f overlaps.
+  void cell_range(const std::array<std::uint32_t, 3>& f,
+                  std::array<int, 3>& lo, std::array<int, 3>& hi) const {
+    for (int a = 0; a < 3; ++a) {
+      double mn = mesh_.points[f[0]][a], mx = mn;
+      for (int k = 1; k < 3; ++k) {
+        mn = std::min(mn, mesh_.points[f[k]][a]);
+        mx = std::max(mx, mesh_.points[f[k]][a]);
       }
+      lo[a] = cell_of(mn, a, 0, n_[a] - 1);
+      hi[a] = cell_of(mx, a, 0, n_[a] - 1);
     }
   }
 
+  /// The cell coordinate of v along `axis`, clamped to [lo, hi] (NaN maps
+  /// to hi).
+  [[nodiscard]] int cell_of(double v, int axis, int lo, int hi) const {
+    const double c = std::floor((v - bounds_.lo[axis]) / cell_);
+    if (c < lo) return lo;
+    return c < hi ? static_cast<int>(c) : hi;
+  }
+
+  static constexpr int kMaxCells = 1 << 28;
+
   const TetMesh& mesh_;
-  double cell_;
   Aabb bounds_;
-  std::unordered_map<std::int64_t, std::vector<std::uint32_t>> cells_;
+  double cell_ = 0.0;
+  std::array<int, 3> n_{};
+  Buckets<std::uint32_t> grid_;
 };
 
 /// max(0, f(0), ..., f(n-1)) on `threads` threads that take the indices
 /// round-robin: the work per index clusters (surface voxels sit in the
 /// middle slices), so contiguous blocks would leave one thread with most
-/// of it. Max is exact and order-free, so the result does not depend on
-/// the thread count.
+/// of it. f(i, m, tests) gets its thread's running maximum m and may return
+/// any value <= m instead of f(i) when f(i) <= m, since such a value cannot
+/// raise the maximum; it adds its work count to `tests`. Max is exact and
+/// order-free, so the result does not depend on the thread count (the work
+/// count does).
 template <typename F>
-double parallel_max(std::size_t n, int threads, const F& f) {
+double parallel_max(std::size_t n, int threads, std::uint64_t& tests,
+                    const F& f) {
   const std::size_t t = std::min<std::size_t>(std::max(1, threads),
                                               std::max<std::size_t>(n, 1));
   std::vector<double> maxima(t, 0.0);
+  std::vector<std::uint64_t> counts(t, 0);
   parallel_blocks(t, static_cast<int>(t), [&](std::size_t b, std::size_t e) {
     for (std::size_t w = b; w < e; ++w) {
       double m = 0.0;
-      for (std::size_t i = w; i < n; i += t) m = std::max(m, f(i));
+      std::uint64_t c = 0;
+      for (std::size_t i = w; i < n; i += t) m = std::max(m, f(i, m, c));
       maxima[w] = m;
+      counts[w] = c;
     }
   });
+  for (const std::uint64_t c : counts) tests += c;
   return *std::max_element(maxima.begin(), maxima.end());
 }
 
@@ -189,8 +261,10 @@ HausdorffResult hausdorffdistance_impl(const TetMesh& mesh,
   const int threads = oracle.threads();
 
   // mesh -> surface: barycentric samples of each boundary triangle.
-  out.mesh_to_surface =
-      parallel_max(mesh.boundary_tris.size(), threads, [&](std::size_t t) {
+  std::uint64_t uncounted = 0;
+  out.mesh_to_surface = parallel_max(
+      mesh.boundary_tris.size(), threads, uncounted,
+      [&](std::size_t t, double, std::uint64_t&) {
         const auto& f = mesh.boundary_tris[t];
         const Vec3& a = mesh.points[f[0]];
         const Vec3& b = mesh.points[f[1]];
@@ -209,21 +283,22 @@ HausdorffResult hausdorffdistance_impl(const TetMesh& mesh,
       });
 
   // surface -> mesh: every surface voxel, refined onto the interface; one
-  // z slice per index.
+  // z slice per index. A point with a triangle within the thread's running
+  // maximum is dropped at that triangle (Taha & Hanbury, TPAMI 2015).
   const LabeledImage3D& img = oracle.image();
-  const TriangleGrid grid(mesh, 2.0 * img.min_spacing());
+  const TriangleGrid grid(mesh, 2.0 * img.min_spacing(), threads);
   out.surface_to_mesh = parallel_max(
-      static_cast<std::size_t>(img.nz()), threads,
-      [&](std::size_t slice) {
+      static_cast<std::size_t>(img.nz()), threads, out.triangle_tests,
+      [&](std::size_t slice, double m, std::uint64_t& tests) {
         const int z = static_cast<int>(slice);
-        double d = 0.0;
+        double d = m;
         for (int y = 0; y < img.ny(); ++y) {
           for (int x = 0; x < img.nx(); ++x) {
             if (!img.is_surface_voxel({x, y, z})) continue;
             const auto q =
                 oracle.closest_surface_point(img.voxel_center({x, y, z}));
             if (!q) continue;
-            d = std::max(d, grid.distance_to(*q));
+            d = std::max(d, grid.distance_to(*q, d, tests));
           }
         }
         return d;

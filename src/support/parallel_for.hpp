@@ -91,6 +91,61 @@ inline void parallel_indexed_blocks(
                   });
 }
 
+/// Records grouped by bucket in CSR form: bucket b holds
+/// items[start[b] .. start[b + 1]).
+template <typename Rec>
+struct Buckets {
+  std::vector<std::size_t> start;
+  std::vector<Rec> items;
+};
+
+/// Counting sort of the records that the items [0, n) emit into `buckets`
+/// buckets: emit(i, out) calls out(bucket, record) once per record of item
+/// i, the same sequence on each of its two calls (count, then scatter).
+/// Each of the `blocks` contiguous item blocks counts its records per
+/// bucket on its own thread; bucket b takes block 0's records first, then
+/// block 1's, ..., so the blocks scatter in parallel and stably: every
+/// bucket holds its records in item order, at any block count. Memory is
+/// one count per (bucket, block).
+template <typename Rec, typename Emit>
+Buckets<Rec> bucket_scatter(std::size_t n, std::size_t buckets,
+                            std::size_t blocks, const Emit& emit) {
+  // at[k * buckets + b]: block k's record count for bucket b, then its
+  // next slot.
+  std::vector<std::size_t> at(blocks * buckets, 0);
+  parallel_indexed_blocks(n, blocks, [&](std::size_t k, std::size_t b,
+                                         std::size_t e) {
+    std::size_t* count = at.data() + k * buckets;
+    for (std::size_t i = b; i < e; ++i) {
+      emit(i, [count](std::size_t bucket, const Rec&) { ++count[bucket]; });
+    }
+  });
+  Buckets<Rec> out;
+  out.start.resize(buckets + 1);
+  std::size_t total = 0;
+  for (std::size_t b = 0; b < buckets; ++b) {
+    out.start[b] = total;
+    for (std::size_t k = 0; k < blocks; ++k) {
+      const std::size_t c = at[k * buckets + b];
+      at[k * buckets + b] = total;
+      total += c;
+    }
+  }
+  out.start[buckets] = total;
+  out.items.resize(total);
+  parallel_indexed_blocks(n, blocks, [&](std::size_t k, std::size_t b,
+                                         std::size_t e) {
+    std::size_t* next = at.data() + k * buckets;
+    Rec* items = out.items.data();
+    for (std::size_t i = b; i < e; ++i) {
+      emit(i, [next, items](std::size_t bucket, const Rec& rec) {
+        items[next[bucket]++] = rec;
+      });
+    }
+  });
+  return out;
+}
+
 /// Thread count for the post-mesh scans over `items` elements (quality
 /// report, validation): one thread per 32k items, at least one, at most
 /// the hardware concurrency. A 400k-tet mesh gets every core of a 4-core

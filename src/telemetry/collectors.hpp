@@ -127,6 +127,8 @@ inline void collect_hausdorff(MetricsRegistry& r, const HausdorffResult& h) {
   r.set("fidelity.hausdorff", h.symmetric());
   r.set("fidelity.mesh_to_surface", h.mesh_to_surface);
   r.set("fidelity.surface_to_mesh", h.surface_to_mesh);
+  // Depends on the oracle's thread count (see HausdorffResult).
+  r.set("hausdorff.triangle_tests", h.triangle_tests);
 }
 
 inline void collect_smoothing(MetricsRegistry& r, const SmoothingReport& s) {

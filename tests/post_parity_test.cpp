@@ -1,18 +1,23 @@
-// Thread parity of the post-mesh scans: evaluate_quality and validate_mesh
-// split their loops over tet blocks, and must give the serial result at any
-// thread count — the report bit for bit, the validation with its errors in
+// Thread parity of the post-mesh scans: evaluate_quality splits its loops
+// over tet blocks, validate_mesh its element checks over tet blocks and its
+// conformity checks over vertex ranges, and both must give the result of
+// their earlier code, kept verbatim here as oracles, at any thread count —
+// the report bit for bit, the validation field for field with its errors in
 // the same order. Checked on a W1-scale mesh (~384k tets) and on a refined
 // mesh, and for validation on corrupted copies.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <bit>
 #include <cmath>
 #include <cstdint>
 #include <limits>
 #include <stdexcept>
+#include <string>
 #include <thread>
+#include <vector>
 
 #include "core/validate.hpp"
 #include "geometry/tetra.hpp"
@@ -93,10 +98,16 @@ TetMesh grid_mesh(int n) {
 }
 
 constexpr int kGrid = 40;
+constexpr int kSmallGrid = 16;
 
 const TetMesh& big_grid() {
   static const TetMesh m = grid_mesh(kGrid);
   return m;
+}
+
+/// The point index of grid corner (i, j, k) of a grid_mesh(n).
+std::uint32_t grid_id(int n, int i, int j, int k) {
+  return static_cast<std::uint32_t>((k * (n + 1) + j) * (n + 1) + i);
 }
 
 const TetMesh& refined_mesh() {
@@ -156,6 +167,245 @@ QualityReport serial_quality(const TetMesh& mesh) {
   if (mesh.tets.empty()) r.min_volume = 0.0;
   return r;
 }
+
+/// validate_mesh as it was before the conformity checks, union-find and
+/// boundary-edge pass moved onto vertex-range blocks (its element checks
+/// and face sort already ran on tet blocks), kept verbatim as the parity
+/// oracle.
+using FaceKey = std::array<std::uint32_t, 3>;
+
+FaceKey face_key(std::uint32_t a, std::uint32_t b, std::uint32_t c) {
+  FaceKey k{a, b, c};
+  std::sort(k.begin(), k.end());
+  return k;
+}
+
+constexpr int kTetFaces[4][3] = {{1, 3, 2}, {0, 2, 3}, {0, 3, 1}, {0, 1, 2}};
+
+struct OwnedFace {
+  FaceKey key;
+  std::uint32_t owner;  ///< index of the tet the face belongs to
+  bool operator<(const OwnedFace& o) const {
+    return key != o.key ? key < o.key : owner < o.owner;
+  }
+};
+
+/// Every tet face, in lexicographic (key, owner) order. A counting sort on
+/// the smallest vertex (the key's first entry) does the bulk of the work;
+/// each bucket then holds only the few faces around one vertex and is
+/// sorted in place. Each tet block counts its faces per vertex; bucket v
+/// takes block 0's faces first, then block 1's, ..., so the blocks scatter
+/// in parallel and stably (tet order within a bucket, as a serial scatter
+/// would). The buckets are then sorted in vertex ranges of about equal face
+/// counts. The array is the same at any block count.
+std::vector<OwnedFace> sorted_tet_faces(const TetMesh& mesh,
+                                        std::size_t blocks) {
+  const std::size_t nt = mesh.tets.size();
+  const std::size_t nv = mesh.points.size();
+  // at[k * nv + v]: block k's face count for vertex v, then its next slot.
+  std::vector<std::size_t> at(blocks * nv, 0);
+  parallel_indexed_blocks(nt, blocks, [&](std::size_t k, std::size_t b,
+                                          std::size_t e) {
+    std::size_t* count = at.data() + k * nv;
+    for (std::size_t ti = b; ti < e; ++ti) {
+      const auto& t = mesh.tets[ti];
+      for (const auto& fi : kTetFaces) {
+        ++count[std::min({t[fi[0]], t[fi[1]], t[fi[2]]})];
+      }
+    }
+  });
+  std::vector<std::size_t> start(nv + 1);
+  std::size_t total = 0;
+  for (std::size_t v = 0; v < nv; ++v) {
+    start[v] = total;
+    for (std::size_t k = 0; k < blocks; ++k) {
+      const std::size_t c = at[k * nv + v];
+      at[k * nv + v] = total;
+      total += c;
+    }
+  }
+  start[nv] = total;
+
+  std::vector<OwnedFace> faces(total);
+  parallel_indexed_blocks(nt, blocks, [&](std::size_t k, std::size_t b,
+                                          std::size_t e) {
+    std::size_t* next = at.data() + k * nv;
+    for (std::size_t ti = b; ti < e; ++ti) {
+      const auto& t = mesh.tets[ti];
+      for (const auto& fi : kTetFaces) {
+        const FaceKey key = face_key(t[fi[0]], t[fi[1]], t[fi[2]]);
+        faces[next[key[0]]++] = {key, static_cast<std::uint32_t>(ti)};
+      }
+    }
+  });
+  // Block k sorts the buckets that start in its share [b, e) of the faces.
+  parallel_indexed_blocks(total, blocks, [&](std::size_t, std::size_t b,
+                                             std::size_t e) {
+    auto v = static_cast<std::size_t>(
+        std::lower_bound(start.begin(), start.end() - 1, b) - start.begin());
+    for (; v < nv && start[v] < e; ++v) {
+      std::sort(faces.begin() + static_cast<std::ptrdiff_t>(start[v]),
+                faces.begin() + static_cast<std::ptrdiff_t>(start[v + 1]));
+    }
+  });
+  return faces;
+}
+
+
+MeshValidation reference_validate_mesh(const TetMesh& mesh, int threads) {
+  MeshValidation v;
+  auto fail = [&v](std::string msg) { v.errors.push_back(std::move(msg)); };
+
+  // --- array and index sanity ---
+  if (mesh.point_kinds.size() != mesh.points.size()) {
+    fail("point_kinds size mismatch");
+  }
+  if (mesh.tet_labels.size() != mesh.tets.size()) {
+    fail("tet_labels size mismatch");
+  }
+  const auto n = static_cast<std::uint32_t>(mesh.points.size());
+  for (const auto& t : mesh.tets) {
+    for (const std::uint32_t w : t) {
+      if (w >= n) {
+        fail("tet vertex index out of range");
+        break;
+      }
+    }
+  }
+  for (const auto& f : mesh.boundary_tris) {
+    for (const std::uint32_t w : f) {
+      if (w >= n) {
+        fail("boundary vertex index out of range");
+        break;
+      }
+    }
+  }
+  if (!v.errors.empty()) return v;  // indices unusable below
+
+  // --- element sanity ---
+  // Sliver threshold: relative to the mesh's own scale so validation is
+  // unit-independent. 1e-12 of diag^3 is far below any element a sizing-
+  // driven refinement legitimately produces, but still ~4 orders of
+  // magnitude above double rounding noise at the bbox scale.
+  Aabb bbox;
+  for (const Vec3& p : mesh.points) bbox.expand(p);
+  const double diag = mesh.points.empty() ? 0.0 : norm(bbox.extent());
+  const double sliver_vol = 1e-12 * diag * diag * diag;
+  const auto blocks = static_cast<std::size_t>(
+      threads > 0 ? threads : post_threads(mesh.tets.size()));
+  // Each block collects its own errors; concatenated in block order they
+  // are the serial loop's errors, in its order.
+  struct Sanity {
+    std::vector<std::string> errors;
+    std::size_t slivers = 0;
+  };
+  std::vector<Sanity> part(blocks);
+  parallel_indexed_blocks(mesh.tets.size(), blocks, [&](std::size_t k,
+                                                        std::size_t b,
+                                                        std::size_t e) {
+    Sanity& s = part[k];
+    for (std::size_t i = b; i < e; ++i) {
+      const auto& t = mesh.tets[i];
+      // The exact predicate decides degenerate/inverted: the floating-point
+      // volume of a coplanar quadruple can round to a nonzero value (and an
+      // inverted sliver's to a positive one), so fabs(vol) <= 0.0 misses
+      // both.
+      const int sign = orient3d(mesh.points[t[0]], mesh.points[t[1]],
+                                mesh.points[t[2]], mesh.points[t[3]]);
+      if (sign == 0) {
+        s.errors.emplace_back("degenerate (coplanar) tetrahedron");
+      } else if (sign < 0) {
+        s.errors.emplace_back("inverted (negatively oriented) tetrahedron");
+      } else {
+        const double vol = signed_volume(mesh.points[t[0]], mesh.points[t[1]],
+                                         mesh.points[t[2]], mesh.points[t[3]]);
+        if (vol < sliver_vol) ++s.slivers;
+      }
+      if (i < mesh.tet_labels.size() && mesh.tet_labels[i] == 0) {
+        s.errors.emplace_back("element with background label");
+      }
+    }
+  });
+  for (Sanity& s : part) {
+    for (std::string& msg : s.errors) fail(std::move(msg));
+    v.sliver_elements += s.slivers;
+  }
+
+  // --- face conformity ---
+  // Both lists are in key order, the order the errors are reported in.
+  const std::vector<OwnedFace> faces = sorted_tet_faces(mesh, blocks);
+  std::vector<FaceKey> boundary;
+  boundary.reserve(mesh.boundary_tris.size());
+  for (const auto& b : mesh.boundary_tris) {
+    boundary.push_back(face_key(b[0], b[1], b[2]));
+  }
+  std::sort(boundary.begin(), boundary.end());
+  std::size_t f = 0;  // first face whose key is not below boundary[i]
+  for (std::size_t i = 0; i < boundary.size();) {
+    std::size_t j = i + 1;
+    while (j < boundary.size() && boundary[j] == boundary[i]) ++j;
+    if (j - i > 1) fail("duplicate boundary triangle");
+    while (f < faces.size() && faces[f].key < boundary[i]) ++f;
+    if (f == faces.size() || faces[f].key != boundary[i]) {
+      fail("boundary triangle is not a face of any element");
+    }
+    i = j;
+  }
+
+  // One pass over runs of equal keys: the run length is the number of
+  // elements sharing the face, and every run joins its owners' components.
+  std::vector<std::uint32_t> parent(mesh.tets.size());
+  for (std::uint32_t i = 0; i < parent.size(); ++i) parent[i] = i;
+  const auto find = [&parent](std::uint32_t x) {
+    while (parent[x] != x) {
+      parent[x] = parent[parent[x]];
+      x = parent[x];
+    }
+    return x;
+  };
+  std::size_t b = 0;  // first boundary key not below the face key k
+  for (std::size_t i = 0; i < faces.size();) {
+    const FaceKey& k = faces[i].key;
+    std::size_t j = i + 1;
+    for (; j < faces.size() && faces[j].key == k; ++j) {
+      parent[find(faces[j].owner)] = find(faces[i].owner);
+    }
+    if (j - i > 2) {
+      fail("face shared by more than two elements");
+    } else if (j - i == 1) {
+      while (b < boundary.size() && boundary[b] < k) ++b;
+      if (b == boundary.size() || boundary[b] != k) {
+        fail("exposed face missing from boundary_tris");
+      }
+    }
+    i = j;
+  }
+  for (std::uint32_t i = 0; i < parent.size(); ++i) {
+    if (find(i) == i) ++v.connected_components;
+  }
+
+  // --- boundary edge manifoldness (informational) ---
+  std::vector<std::uint64_t> edges;
+  edges.reserve(3 * mesh.boundary_tris.size());
+  for (const auto& t : mesh.boundary_tris) {
+    for (int i = 0; i < 3; ++i) {
+      const std::uint64_t lo = std::min(t[i], t[(i + 1) % 3]);
+      const std::uint64_t hi = std::max(t[i], t[(i + 1) % 3]);
+      edges.push_back(lo << 32 | hi);
+    }
+  }
+  std::sort(edges.begin(), edges.end());
+  for (std::size_t i = 0; i < edges.size();) {
+    std::size_t j = i + 1;
+    while (j < edges.size() && edges[j] == edges[i]) ++j;
+    if (j - i != 2) ++v.boundary_edges_nonmanifold;
+    i = j;
+  }
+
+  v.ok = v.errors.empty();
+  return v;
+}
+
 
 std::uint64_t bits(double x) { return std::bit_cast<std::uint64_t>(x); }
 
@@ -227,13 +477,16 @@ TEST(QualityParity, TinyAndEmptyMeshes) {
 }
 
 void expect_same_validation(const TetMesh& mesh) {
-  const MeshValidation a = validate_mesh(mesh, 1);
-  const MeshValidation b = validate_mesh(mesh, 4);
-  EXPECT_EQ(a.ok, b.ok);
-  EXPECT_EQ(a.errors, b.errors);
-  EXPECT_EQ(a.connected_components, b.connected_components);
-  EXPECT_EQ(a.boundary_edges_nonmanifold, b.boundary_edges_nonmanifold);
-  EXPECT_EQ(a.sliver_elements, b.sliver_elements);
+  const MeshValidation want = reference_validate_mesh(mesh, 1);
+  for (const int t : {1, 2, 4, 7, 0}) {
+    SCOPED_TRACE(::testing::Message() << t << " threads");
+    const MeshValidation got = validate_mesh(mesh, t);
+    EXPECT_EQ(got.ok, want.ok);
+    EXPECT_EQ(got.errors, want.errors);
+    EXPECT_EQ(got.connected_components, want.connected_components);
+    EXPECT_EQ(got.boundary_edges_nonmanifold, want.boundary_edges_nonmanifold);
+    EXPECT_EQ(got.sliver_elements, want.sliver_elements);
+  }
 }
 
 bool has_error(const MeshValidation& v, const std::string& msg) {
@@ -304,6 +557,108 @@ TEST(ValidationParity, FaceSharedByThreeTets) {
   m.tet_labels.push_back(1);
   EXPECT_TRUE(has_error(validate_mesh(m, 4),
                         "face shared by more than two elements"));
+  expect_same_validation(m);
+}
+
+TEST(ValidationParity, TwoDisjointComponents) {
+  // The grid and a copy of it moved one grid width along x.
+  TetMesh m = grid_mesh(kSmallGrid);
+  const TetMesh copy = m;
+  const auto shift = static_cast<std::uint32_t>(m.points.size());
+  for (const Vec3& p : copy.points) {
+    m.points.push_back(p + Vec3{kSmallGrid + 2.0, 0.0, 0.0});
+  }
+  m.point_kinds.insert(m.point_kinds.end(), copy.point_kinds.begin(),
+                       copy.point_kinds.end());
+  for (auto t : copy.tets) {
+    for (auto& w : t) w += shift;
+    m.tets.push_back(t);
+  }
+  m.tet_labels.insert(m.tet_labels.end(), copy.tet_labels.begin(),
+                      copy.tet_labels.end());
+  for (auto f : copy.boundary_tris) {
+    for (auto& w : f) w += shift;
+    m.boundary_tris.push_back(f);
+  }
+  const MeshValidation v = validate_mesh(m, 4);
+  EXPECT_TRUE(v.ok) << (v.errors.empty() ? "" : v.errors.front());
+  EXPECT_EQ(v.connected_components, 2u);
+  expect_same_validation(m);
+}
+
+TEST(ValidationParity, NonManifoldBoundaryEdge) {
+  // A tet hung on the outside of the grid by one edge (a, b) of the x = 0
+  // face, its four faces listed as boundary: edge (a, b) then lies on four
+  // boundary triangles.
+  TetMesh m = grid_mesh(kSmallGrid);
+  constexpr int c = kSmallGrid / 2;
+  const std::uint32_t a = grid_id(kSmallGrid, 0, c, c);
+  const std::uint32_t b = grid_id(kSmallGrid, 0, c + 1, c);
+  const Vec3 mid = 0.5 * (m.points[a] + m.points[b]);
+  const auto p = static_cast<std::uint32_t>(m.points.size());
+  m.points.push_back(mid + Vec3{-1.0, 0.0, 0.6});
+  m.points.push_back(mid + Vec3{-1.0, 0.3, -0.6});
+  m.point_kinds.resize(m.points.size(), VertexKind::Isosurface);
+  std::array<std::uint32_t, 4> t{a, b, p, p + 1};
+  const int sign = orient3d(m.points[t[0]], m.points[t[1]], m.points[t[2]],
+                            m.points[t[3]]);
+  ASSERT_NE(sign, 0);
+  if (sign < 0) std::swap(t[0], t[1]);
+  m.tets.push_back(t);
+  m.tet_labels.push_back(1);
+  m.boundary_tris.push_back({t[1], t[3], t[2]});
+  m.boundary_tris.push_back({t[0], t[2], t[3]});
+  m.boundary_tris.push_back({t[0], t[3], t[1]});
+  m.boundary_tris.push_back({t[0], t[1], t[2]});
+  const MeshValidation v = validate_mesh(m, 4);
+  EXPECT_TRUE(v.ok) << (v.errors.empty() ? "" : v.errors.front());
+  EXPECT_EQ(v.connected_components, 2u);
+  EXPECT_EQ(v.boundary_edges_nonmanifold, 1u);
+  expect_same_validation(m);
+}
+
+TEST(ValidationParity, BoundaryTriangleThatIsNoFace) {
+  // Three corners of the box: every vertex exists, the triangle does not.
+  // Then a triangle on three new points that no tet uses, past the last
+  // vertex that starts any tet face.
+  TetMesh m = grid_mesh(kSmallGrid);
+  m.boundary_tris.push_back({grid_id(kSmallGrid, 0, 0, 0),
+                             grid_id(kSmallGrid, kSmallGrid, 0, 0),
+                             grid_id(kSmallGrid, 0, kSmallGrid, 0)});
+  const auto p = static_cast<std::uint32_t>(m.points.size());
+  m.points.push_back({-5.0, 0.0, 0.0});
+  m.points.push_back({-5.0, 1.0, 0.0});
+  m.points.push_back({-5.0, 0.0, 1.0});
+  m.point_kinds.resize(m.points.size(), VertexKind::Isosurface);
+  m.boundary_tris.push_back({p + 2, p, p + 1});
+  const MeshValidation v = validate_mesh(m, 4);
+  EXPECT_EQ(v.errors, std::vector<std::string>(
+                          2, "boundary triangle is not a face of any element"));
+  EXPECT_EQ(v.boundary_edges_nonmanifold, 6u);
+  expect_same_validation(m);
+}
+
+TEST(ValidationParity, ConformityErrorsAcrossVertexRanges) {
+  // Boundary-triangle and element-face errors in every part of the vertex
+  // range: all boundary-triangle errors must come first, each kind in key
+  // order, however the ranges are split.
+  TetMesh m = grid_mesh(kSmallGrid);
+  const std::size_t nb = m.boundary_tris.size();
+  std::vector<std::array<std::uint32_t, 3>> extra;
+  for (int i = 1; i < 8; ++i) {
+    extra.push_back(m.boundary_tris[i * nb / 8]);  // duplicated
+    extra.push_back({grid_id(kSmallGrid, 0, 0, 2 * i),  // no tet's face
+                     grid_id(kSmallGrid, kSmallGrid, 0, 2 * i),
+                     grid_id(kSmallGrid, 0, kSmallGrid, 2 * i)});
+  }
+  for (std::size_t i = 7; i >= 1; --i) {  // dropped: exposed, unlisted
+    m.boundary_tris.erase(m.boundary_tris.begin() +
+                          static_cast<std::ptrdiff_t>(i * nb / 8 + 1));
+  }
+  m.boundary_tris.insert(m.boundary_tris.end(), extra.begin(), extra.end());
+  const MeshValidation v = validate_mesh(m, 7);
+  ASSERT_EQ(v.errors.size(), 21u);
+  EXPECT_EQ(v.errors.back(), "exposed face missing from boundary_tris");
   expect_same_validation(m);
 }
 

@@ -494,6 +494,9 @@ TEST(ServeMeshJob, ReportsReuseTheRefinementOracle) {
   EXPECT_EQ(art.quality->min_boundary_planar_deg, q.min_boundary_planar_deg);
   EXPECT_EQ(art.hausdorff->mesh_to_surface, h.mesh_to_surface);
   EXPECT_EQ(art.hausdorff->surface_to_mesh, h.surface_to_mesh);
+  // The manifest's work count repeats at the same oracle thread count.
+  EXPECT_GT(h.triangle_tests, 0u);
+  EXPECT_EQ(art.metrics.u64("hausdorff.triangle_tests"), h.triangle_tests);
 }
 
 TEST(ServeMeshJob, PreSetCancelTokenAbortsRefinement) {
