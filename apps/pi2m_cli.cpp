@@ -6,7 +6,8 @@
 //
 // The pipeline itself (load -> EDT -> refine -> extract -> smooth ->
 // reports) lives in pipeline/mesh_job.hpp, shared with the serving daemon
-// (apps/pi2m_serve.cpp); this file is flag parsing and console output.
+// (apps/pi2m_serve.cpp), and the job flags in pipeline/job_options.hpp;
+// this file is the app-only flags and console output.
 //
 // Examples:
 //   pi2m --input brain.mha --delta 1.0 --threads 8 --out mesh.vtk
@@ -15,55 +16,20 @@
 //   pi2m --phantom knee --size 64 --cm global --lb rws --stats
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <optional>
 #include <string>
 
 #include "io/image_io.hpp"
+#include "pipeline/job_options.hpp"
 #include "pipeline/mesh_job.hpp"
 #include "telemetry/telemetry.hpp"
 
 namespace {
 
 void usage() {
-  std::puts(
-      "pi2m - parallel image-to-mesh conversion (PI2M reproduction)\n"
-      "\n"
-      "input (one of):\n"
-      "  --input FILE.mha        segmented MetaImage (MET_UCHAR/USHORT, LOCAL)\n"
-      "  --phantom NAME          ball|shells|abdominal|knee|head_neck|vessels\n"
-      "                          |ellipsoid|thick_shell (volume-dominated)\n"
-      "  --size N                phantom grid size (default 64)\n"
-      "  --downsample F          majority-vote downsample by integer factor\n"
-      "  --crop-foreground PAD   crop to the foreground bounding box + PAD\n"
-      "\n"
-      "meshing:\n"
-      "  --delta D               surface sample spacing, world units (default 1.0)\n"
-      "  --rho R                 radius-edge bound (default 2.0)\n"
-      "  --facet-angle A         min boundary planar angle, deg (default 30)\n"
-      "  --uniform-size S        uniform sizing field (R5)\n"
-      "  --interior NAME         lattice (BCC template bulk + Delaunay skin,\n"
-      "                          default) | delaunay (refine everywhere; the\n"
-      "                          pre-hybrid behaviour / A-B baseline)\n"
-      "  --lattice-spacing A     BCC cube size, world units (default 2*delta)\n"
-      "  --threads T             worker threads (default 1)\n"
-      "  --cm NAME               aggressive|random|global|local (default local)\n"
-      "  --lb NAME               rws|hws (default hws)\n"
-      "\n"
-      "scheduler:\n"
-      "  --topology auto|CxS     'auto' probes the host's real socket layout\n"
-      "                          (/sys); 'CxS' declares C cores/socket and S\n"
-      "                          sockets/blade, e.g. 8x2 (the default)\n"
-      "  --pin                   pin worker threads to cpus per the topology\n"
-      "  --park-spin-us N        idle spin budget before a timed park\n"
-      "                          (default 50)\n"
-      "\n"
-      "post-processing / output:\n"
-      "  --smooth N              quality-guarded smoothing iterations\n"
-      "  --out FILE              .vtk | .off | .mesh | .stl | .p2m (repeatable)\n"
+  std::printf(
+      "pi2m - parallel image-to-mesh conversion (PI2M reproduction)\n\n%s"
       "  --save-image FILE.mha   write the (phantom) input image\n"
-      "  --report                print quality + fidelity report\n"
-      "  --validate              run structural mesh validation\n"
       "  --stats                 print parallel runtime statistics\n"
       "\n"
       "telemetry:\n"
@@ -72,15 +38,14 @@ void usage() {
       "  --json-report FILE      write a versioned JSON run manifest (config,\n"
       "                          phase timings, all metrics)\n"
       "  --metrics               print every collected metric, one\n"
-      "                          'name value' per line\n");
+      "                          'name value' per line\n",
+      pi2m::job_options_help(pi2m::Surface::Cli, pi2m::JobSpec{}).c_str());
 }
 
 struct Args {
   pi2m::JobSpec spec;
   std::string save_image;
-  bool report = false;
   bool stats = false;
-  bool validate = false;
   std::string trace;
   std::string json_report;
   bool metrics = false;
@@ -88,9 +53,17 @@ struct Args {
 
 std::optional<Args> parse(int argc, char** argv) {
   Args a;
-  pi2m::JobSpec& s = a.spec;
   for (int i = 1; i < argc; ++i) {
     const std::string key = argv[i];
+    std::string error;
+    if (pi2m::parse_job_flag(argc, argv, i, pi2m::Surface::Cli, a.spec,
+                             error)) {
+      if (!error.empty()) {
+        std::fprintf(stderr, "%s (try --help)\n", error.c_str());
+        std::exit(2);
+      }
+      continue;
+    }
     auto next = [&]() -> const char* {
       if (i + 1 >= argc) {
         std::fprintf(stderr, "missing value for %s\n", key.c_str());
@@ -101,83 +74,8 @@ std::optional<Args> parse(int argc, char** argv) {
     if (key == "--help" || key == "-h") {
       usage();
       std::exit(0);
-    } else if (key == "--input") {
-      s.input_path = next();
-    } else if (key == "--phantom") {
-      s.phantom = next();
-    } else if (key == "--size") {
-      s.phantom_size = std::atoi(next());
-    } else if (key == "--downsample") {
-      s.downsample = std::atoi(next());
-    } else if (key == "--crop-foreground") {
-      s.crop_pad = std::atoi(next());
-    } else if (key == "--delta") {
-      s.mesh.delta = std::atof(next());
-    } else if (key == "--rho") {
-      s.mesh.radius_edge_bound = std::atof(next());
-    } else if (key == "--facet-angle") {
-      s.mesh.min_planar_angle_deg = std::atof(next());
-    } else if (key == "--uniform-size") {
-      s.uniform_size = std::atof(next());
-    } else if (key == "--interior") {
-      const std::string name = next();
-      const auto fill = pi2m::parse_interior_name(name);
-      if (!fill) {
-        std::fprintf(stderr, "unknown interior fill '%s'\n", name.c_str());
-        std::exit(2);
-      }
-      s.mesh.interior = *fill;
-    } else if (key == "--lattice-spacing") {
-      s.mesh.lattice_spacing = std::atof(next());
-    } else if (key == "--threads") {
-      s.mesh.threads = std::atoi(next());
-    } else if (key == "--cm") {
-      const std::string name = next();
-      const auto cm = pi2m::parse_cm_name(name);
-      if (!cm) {
-        std::fprintf(stderr, "unknown contention manager '%s'\n",
-                     name.c_str());
-        std::exit(2);
-      }
-      s.mesh.contention_manager = *cm;
-    } else if (key == "--lb") {
-      const std::string name = next();
-      const auto lb = pi2m::parse_lb_name(name);
-      if (!lb) {
-        std::fprintf(stderr, "unknown load balancer '%s'\n", name.c_str());
-        std::exit(2);
-      }
-      s.mesh.load_balancer = *lb;
-    } else if (key == "--topology") {
-      s.topology_desc = next();
-      if (s.topology_desc == "auto") {
-        s.mesh.topology_auto = true;
-      } else {
-        // "CxS": C cores per socket, S sockets per blade.
-        int c = 0, so = 0;
-        if (std::sscanf(s.topology_desc.c_str(), "%dx%d", &c, &so) != 2 ||
-            c < 1 || so < 1) {
-          std::fprintf(stderr, "bad --topology '%s' (want auto or CxS)\n",
-                       s.topology_desc.c_str());
-          std::exit(2);
-        }
-        s.mesh.topology.cores_per_socket = c;
-        s.mesh.topology.sockets_per_blade = so;
-      }
-    } else if (key == "--pin") {
-      s.mesh.pin = true;
-    } else if (key == "--park-spin-us") {
-      s.mesh.park_spin_us = std::atoi(next());
-    } else if (key == "--smooth") {
-      s.smooth = std::atoi(next());
-    } else if (key == "--out") {
-      s.outputs.push_back(next());
     } else if (key == "--save-image") {
       a.save_image = next();
-    } else if (key == "--report") {
-      a.report = true;
-    } else if (key == "--validate") {
-      a.validate = true;
     } else if (key == "--stats") {
       a.stats = true;
     } else if (key == "--trace") {
@@ -191,20 +89,9 @@ std::optional<Args> parse(int argc, char** argv) {
       return std::nullopt;
     }
   }
-  if (s.input_path.empty() && s.phantom.empty()) {
+  if (a.spec.input_path.empty() && a.spec.phantom.empty()) {
     std::fprintf(stderr, "need --input or --phantom (try --help)\n");
     return std::nullopt;
-  }
-  // Output formats are validated up front so a typo fails before an
-  // hour-long refinement, not after.
-  for (const std::string& out : s.outputs) {
-    const auto dot = out.rfind('.');
-    const std::string ext = dot == std::string::npos ? "" : out.substr(dot);
-    if (ext != ".vtk" && ext != ".off" && ext != ".mesh" && ext != ".stl" &&
-        ext != ".p2m") {
-      std::fprintf(stderr, "unknown output format: %s\n", out.c_str());
-      std::exit(2);
-    }
   }
   return a;
 }
@@ -215,11 +102,14 @@ int main(int argc, char** argv) {
   auto args = parse(argc, argv);
   if (!args) return 2;
 
-  // The manifest / --metrics snapshot always carries the quality, fidelity
-  // and validation numbers, so compute them whenever any consumer asks.
+  // --report/--validate print their results. The manifest / --metrics
+  // snapshot always carries the quality, fidelity and validation numbers,
+  // so compute them whenever any consumer asks.
+  const bool print_report = args->spec.want_report;
+  const bool print_validation = args->spec.want_validation;
   const bool want_registry = !args->json_report.empty() || args->metrics;
-  args->spec.want_report = args->report || want_registry;
-  args->spec.want_validation = args->validate || want_registry;
+  args->spec.want_report = print_report || want_registry;
+  args->spec.want_validation = print_validation || want_registry;
 
   pi2m::MeshJob job(std::move(args->spec));
 
@@ -298,7 +188,7 @@ int main(int argc, char** argv) {
   if (!finish_trace()) return 1;
 
   // --- reports ---
-  if (args->report) {
+  if (print_report) {
     std::printf("quality: max radius-edge %.2f, dihedral [%.1f, %.1f] deg, "
                 "min boundary angle %.1f deg\n",
                 art.quality->max_radius_edge, art.quality->min_dihedral_deg,
@@ -309,7 +199,7 @@ int main(int argc, char** argv) {
                 art.hausdorff->surface_to_mesh);
   }
   bool validation_failed = false;
-  if (args->validate) {
+  if (print_validation) {
     if (art.validation->ok) {
       std::printf("validation: OK (%zu connected component(s), %zu "
                   "non-manifold boundary edges)\n",

@@ -357,8 +357,8 @@ void dump_bundle(const std::string& dir, const CaseResult& res,
   m.set_config("case", res.name);
   m.set_config("seed", static_cast<int>(seed));
   m.set_config("threads", threads);
-  m.set_config("cm", to_string(cm));
-  m.set_config("lb", to_string(lb));
+  m.set_config("cm", cm_name(cm));
+  m.set_config("lb", lb_name(lb));
   m.metrics.set("fuzz.ops", static_cast<double>(res.ops));
   m.metrics.set("fuzz.violations", static_cast<double>(res.errors.size()));
   std::ostringstream notes;

@@ -15,19 +15,19 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <string>
 #include <thread>
-#include <vector>
 
+#include "pipeline/job_options.hpp"
 #include "serve/json.hpp"
+#include "serve/protocol.hpp"
 #include "serve/server.hpp"
 #include "telemetry/json_writer.hpp"
 
 namespace {
 
 void usage() {
-  std::puts(
+  std::printf(
       "pi2m_submit - client for the pi2m_serve daemon\n"
       "\n"
       "connection:\n"
@@ -42,18 +42,14 @@ void usage() {
       "  --shutdown              graceful drain (--shutdown-now: cancel all)\n"
       "\n"
       "submit:\n"
-      "  --input FILE.mha | --phantom NAME [--size N]\n"
       "  --priority P            high|normal|low (default normal)\n"
-      "  --delta D --rho R --facet-angle A --uniform-size S\n"
-      "  --interior M            lattice|delaunay (default lattice)\n"
-      "  --lattice-spacing A     BCC cube size override (0 = auto)\n"
-      "  --downsample F --crop-foreground PAD\n"
-      "  --threads T --cm NAME --lb NAME --smooth N\n"
-      "  --report --validate     include quality / validation metrics\n"
-      "  --out FILE              output mesh path on the daemon host\n"
-      "                          (repeatable; .vtk|.off|.mesh|.stl|.p2m)\n"
       "  --wait                  poll until the job finishes, print the\n"
-      "                          result response, exit non-zero on failure\n");
+      "                          result response, exit non-zero on failure\n"
+      "  (job flags below; paths are on the daemon host. A refused value\n"
+      "  prints the BAD_REQUEST response the daemon would send, exit 2.)\n"
+      "\n%s",
+      pi2m::job_options_help(pi2m::Surface::Wire, pi2m::wire_job_defaults())
+          .c_str());
 }
 
 struct Action {
@@ -62,13 +58,7 @@ struct Action {
   std::uint64_t id = 0;
   bool wait = false;
   std::string priority;
-  // Job fields are collected as raw strings and emitted as typed JSON.
-  std::string input, phantom, cm, lb, interior;
-  int size = 0, downsample = 0, crop_pad = -1, threads = 0, smooth = 0;
-  double delta = 0, rho = 0, facet_angle = 0, uniform_size = 0;
-  double lattice_spacing = 0;
-  bool report = false, validate = false;
-  std::vector<std::string> outs;
+  pi2m::JobSpec job = pi2m::wire_job_defaults();
 };
 
 std::string build_request(const Action& a) {
@@ -88,30 +78,8 @@ std::string build_request(const Action& a) {
   }
   w.kv("op", "submit");
   if (!a.priority.empty()) w.kv("priority", a.priority);
-  w.key("job").begin_object();
-  if (!a.input.empty()) w.kv("input", a.input);
-  if (!a.phantom.empty()) w.kv("phantom", a.phantom);
-  if (a.size > 0) w.kv("size", a.size);
-  if (a.downsample > 1) w.kv("downsample", a.downsample);
-  if (a.crop_pad >= 0) w.kv("crop_pad", a.crop_pad);
-  if (a.delta > 0) w.kv("delta", a.delta);
-  if (a.rho > 0) w.kv("rho", a.rho);
-  if (a.facet_angle > 0) w.kv("facet_angle", a.facet_angle);
-  if (a.uniform_size > 0) w.kv("uniform_size", a.uniform_size);
-  if (a.threads > 0) w.kv("threads", a.threads);
-  if (!a.interior.empty()) w.kv("interior", a.interior);
-  if (a.lattice_spacing > 0) w.kv("lattice_spacing", a.lattice_spacing);
-  if (!a.cm.empty()) w.kv("cm", a.cm);
-  if (!a.lb.empty()) w.kv("lb", a.lb);
-  if (a.smooth > 0) w.kv("smooth", a.smooth);
-  if (a.report) w.kv("report", true);
-  if (a.validate) w.kv("validate", true);
-  if (!a.outs.empty()) {
-    w.key("outputs").begin_array();
-    for (const auto& o : a.outs) w.value(o);
-    w.end_array();
-  }
-  w.end_object().end_object();
+  w.key("job").raw(pi2m::serve::encode_job(a.job));
+  w.end_object();
   return w.str();
 }
 
@@ -140,6 +108,19 @@ int main(int argc, char** argv) {
   Action a;
   for (int i = 1; i < argc; ++i) {
     const std::string key = argv[i];
+    std::string error;
+    if (pi2m::parse_job_flag(argc, argv, i, pi2m::Surface::Wire, a.job,
+                             error)) {
+      if (!error.empty()) {
+        // The response the daemon gives a refused job, so scripts see one
+        // failure shape whichever side caught the value.
+        std::printf("%s\n", pi2m::serve::error_response(
+                                 pi2m::serve::kBadRequest, error)
+                                 .c_str());
+        return 2;
+      }
+      continue;
+    }
     auto next = [&]() -> const char* {
       if (i + 1 >= argc) {
         std::fprintf(stderr, "missing value for %s\n", key.c_str());
@@ -173,42 +154,6 @@ int main(int argc, char** argv) {
       a.wait = true;
     } else if (key == "--priority") {
       a.priority = next();
-    } else if (key == "--input") {
-      a.input = next();
-    } else if (key == "--phantom") {
-      a.phantom = next();
-    } else if (key == "--size") {
-      a.size = std::atoi(next());
-    } else if (key == "--downsample") {
-      a.downsample = std::atoi(next());
-    } else if (key == "--crop-foreground") {
-      a.crop_pad = std::atoi(next());
-    } else if (key == "--delta") {
-      a.delta = std::atof(next());
-    } else if (key == "--rho") {
-      a.rho = std::atof(next());
-    } else if (key == "--facet-angle") {
-      a.facet_angle = std::atof(next());
-    } else if (key == "--uniform-size") {
-      a.uniform_size = std::atof(next());
-    } else if (key == "--interior") {
-      a.interior = next();
-    } else if (key == "--lattice-spacing") {
-      a.lattice_spacing = std::atof(next());
-    } else if (key == "--threads") {
-      a.threads = std::atoi(next());
-    } else if (key == "--cm") {
-      a.cm = next();
-    } else if (key == "--lb") {
-      a.lb = next();
-    } else if (key == "--smooth") {
-      a.smooth = std::atoi(next());
-    } else if (key == "--report") {
-      a.report = true;
-    } else if (key == "--validate") {
-      a.validate = true;
-    } else if (key == "--out") {
-      a.outs.push_back(next());
     } else {
       std::fprintf(stderr, "unknown option '%s' (try --help)\n", key.c_str());
       return 2;
@@ -218,7 +163,7 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "need --socket PATH (try --help)\n");
     return 2;
   }
-  if (a.op.empty() && a.input.empty() && a.phantom.empty()) {
+  if (a.op.empty() && a.job.input_path.empty() && a.job.phantom.empty()) {
     std::fprintf(stderr, "need an action or a job (--input/--phantom)\n");
     return 2;
   }

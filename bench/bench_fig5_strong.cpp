@@ -56,7 +56,7 @@ int main(int argc, char** argv) {
   for (int threads = 1; threads <= max_threads; threads *= 2) {
     for (const LbKind lb : {LbKind::RWS, LbKind::HWS}) {
       if (threads == 1 && lb == LbKind::HWS) continue;  // identical at 1
-      std::printf("  running %s x%d...\n", to_string(lb), threads);
+      std::printf("  running %s x%d...\n", lb_name(lb), threads);
       bench::RunConfig cfg;
       cfg.delta = delta;
       cfg.threads = threads;
@@ -92,7 +92,7 @@ int main(int argc, char** argv) {
     if (r.threads == 1) continue;
     const auto& t = r.out.totals;
     const std::uint64_t total = t.total_steals();
-    b.add_row({std::to_string(r.threads), to_string(r.lb),
+    b.add_row({std::to_string(r.threads), lb_name(r.lb),
                io::fmt_int(t.steals_intra_socket),
                io::fmt_int(t.steals_intra_blade),
                io::fmt_int(t.steals_inter_blade),
@@ -128,10 +128,10 @@ int main(int argc, char** argv) {
     if (!best) best = &runs.back();
     telemetry::RunManifest man;
     man.tool = "bench_fig5_strong";
-    man.config["phantom"] = "abdominal";
-    man.config["grid"] = std::to_string(n);
-    man.config["threads"] = std::to_string(best->threads);
-    man.config["lb"] = to_string(best->lb);
+    man.set_config("phantom", "abdominal");
+    man.set_config("grid", n);
+    man.set_config("threads", best->threads);
+    man.set_config("lb", lb_name(best->lb));
     telemetry::collect_outcome(man.metrics, best->out);
     if (!man.write(manifest_path)) {
       std::fprintf(stderr, "failed to write %s\n", manifest_path.c_str());

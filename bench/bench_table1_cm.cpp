@@ -45,7 +45,7 @@ void table_for(const LabeledImage3D& img, double delta, int threads,
   std::vector<CmRun> runs;
   runs.reserve(4);
   for (const CmKind k : kinds) {
-    std::printf("  running %s...\n", to_string(k));
+    std::printf("  running %s...\n", cm_name(k));
     // Aggressive/Random may livelock; keep their watchdog short.
     const double wd = (k == CmKind::Aggressive || k == CmKind::Random) ? 10.0
                                                                        : 30.0;

@@ -20,7 +20,7 @@ const char* interior_name(InteriorFill k) {
   return "?";
 }
 
-std::optional<InteriorFill> parse_interior_name(const std::string& s) {
+std::optional<InteriorFill> parse_interior_name(std::string_view s) {
   if (s == "delaunay") return InteriorFill::Delaunay;
   if (s == "lattice") return InteriorFill::Lattice;
   return std::nullopt;

@@ -29,6 +29,7 @@
 #include <functional>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -45,7 +46,7 @@ enum class InteriorFill : std::uint8_t {
 };
 
 const char* interior_name(InteriorFill k);
-std::optional<InteriorFill> parse_interior_name(const std::string& s);
+std::optional<InteriorFill> parse_interior_name(std::string_view s);
 
 namespace lattice {
 

@@ -7,6 +7,7 @@
 #include "runtime/stats.hpp"
 #include "support/common.hpp"
 #include "imaging/resample.hpp"
+#include "pipeline/job_options.hpp"
 #include "io/image_io.hpp"
 #include "io/mesh_serialize.hpp"
 #include "io/writers.hpp"
@@ -38,38 +39,6 @@ PredicateCounters counters_delta(const PredicateCounters& a,
 }
 
 }  // namespace
-
-std::optional<CmKind> parse_cm_name(const std::string& s) {
-  if (s == "aggressive") return CmKind::Aggressive;
-  if (s == "random") return CmKind::Random;
-  if (s == "global") return CmKind::Global;
-  if (s == "local") return CmKind::Local;
-  return std::nullopt;
-}
-
-std::optional<LbKind> parse_lb_name(const std::string& s) {
-  if (s == "rws") return LbKind::RWS;
-  if (s == "hws") return LbKind::HWS;
-  return std::nullopt;
-}
-
-const char* cm_name(CmKind k) {
-  switch (k) {
-    case CmKind::Aggressive: return "aggressive";
-    case CmKind::Random: return "random";
-    case CmKind::Global: return "global";
-    case CmKind::Local: return "local";
-  }
-  return "?";
-}
-
-const char* lb_name(LbKind k) {
-  switch (k) {
-    case LbKind::RWS: return "rws";
-    case LbKind::HWS: return "hws";
-  }
-  return "?";
-}
 
 MeshJob::MeshJob(JobSpec spec) : spec_(std::move(spec)) {}
 
@@ -259,35 +228,8 @@ const JobArtifacts& MeshJob::run() {
 telemetry::RunManifest MeshJob::build_manifest(const std::string& tool) const {
   telemetry::RunManifest man;
   man.tool = tool;
-  if (!spec_.input_path.empty()) {
-    man.set_config("input", spec_.input_path);
-  } else if (!spec_.phantom.empty()) {
-    man.set_config("input", "phantom:" + spec_.phantom);
-    man.set_config("size", spec_.phantom_size);
-  } else {
-    man.set_config("input", "inline");
-  }
-  if (spec_.downsample > 1) man.set_config("downsample", spec_.downsample);
-  if (spec_.crop_pad >= 0) man.set_config("crop_foreground", spec_.crop_pad);
-  man.set_config("delta", spec_.mesh.delta);
-  man.set_config("interior", interior_name(spec_.mesh.interior));
-  if (spec_.mesh.lattice_spacing > 0) {
-    man.set_config("lattice_spacing", spec_.mesh.lattice_spacing);
-  }
-  man.set_config("rho", spec_.mesh.radius_edge_bound);
-  man.set_config("facet_angle", spec_.mesh.min_planar_angle_deg);
-  if (spec_.uniform_size > 0) {
-    man.set_config("uniform_size", spec_.uniform_size);
-  }
-  man.set_config("threads", spec_.mesh.threads);
-  man.set_config("cm", cm_name(spec_.mesh.contention_manager));
-  man.set_config("lb", lb_name(spec_.mesh.load_balancer));
-  if (!spec_.topology_desc.empty()) {
-    man.set_config("topology", spec_.topology_desc);
-  }
-  if (spec_.mesh.pin) man.set_config("pin", true);
-  man.set_config("smooth", spec_.smooth);
-  man.set_config("edt_cache_hit", art_.edt_cache_hit ? "true" : "false");
+  echo_job_options(spec_, man);
+  man.set_config("edt_cache_hit", art_.edt_cache_hit);
   if (art_.queue_wait_sec > 0) {
     man.add_phase("queue_wait", art_.queue_wait_sec);
   }

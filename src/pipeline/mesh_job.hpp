@@ -32,7 +32,8 @@
 
 namespace pi2m {
 
-/// Everything one job needs, as a plain value (protocol-decodable).
+/// Everything one job needs, as a plain value (protocol-decodable). The
+/// knobs' flags, wire keys, ranges and help live in pipeline/job_options.
 struct JobSpec {
   // --- input: exactly one of the three ---
   std::string input_path;  ///< segmented MetaImage (.mha)
@@ -55,9 +56,6 @@ struct JobSpec {
     o.delta = 1.0;
     return o;
   }();
-  /// Human-readable topology description ("auto" or "CxS") mirrored into
-  /// the manifest; the parsed form lives in mesh.topology/topology_auto.
-  std::string topology_desc;
   /// Uniform volume sizing field (R5); >0 installs mesh.size_function.
   double uniform_size = 0.0;
   int smooth = 0;       ///< quality-guarded smoothing iterations
@@ -95,12 +93,6 @@ struct JobArtifacts {
   telemetry::MetricsRegistry metrics;
 };
 
-/// Name translations shared by the CLI flags and the wire protocol.
-std::optional<CmKind> parse_cm_name(const std::string& s);
-std::optional<LbKind> parse_lb_name(const std::string& s);
-const char* cm_name(CmKind k);
-const char* lb_name(LbKind k);
-
 class MeshJob {
  public:
   explicit MeshJob(JobSpec spec);
@@ -127,9 +119,9 @@ class MeshJob {
   [[nodiscard]] const JobArtifacts& artifacts() const { return art_; }
   [[nodiscard]] const JobSpec& spec() const { return spec_; }
 
-  /// Builds the versioned run manifest for this job: config mirror of the
-  /// spec, phase timings (edt, refine, extract, smooth, reports, write),
-  /// and the metrics snapshot.
+  /// Builds the versioned run manifest for this job: config echo of the
+  /// spec (echo_job_options), phase timings (edt, refine, extract, smooth,
+  /// reports, write), and the metrics snapshot.
   [[nodiscard]] telemetry::RunManifest build_manifest(
       const std::string& tool) const;
 

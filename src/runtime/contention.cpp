@@ -258,18 +258,17 @@ class LocalCm final : public ContentionManager {
 
 }  // namespace
 
-const char* to_string(CmKind k) {
-  switch (k) {
-    case CmKind::Aggressive:
-      return "Aggressive-CM";
-    case CmKind::Random:
-      return "Random-CM";
-    case CmKind::Global:
-      return "Global-CM";
-    case CmKind::Local:
-      return "Local-CM";
+namespace {
+constexpr const char* kCmNames[] = {"aggressive", "random", "global", "local"};
+}  // namespace
+
+const char* cm_name(CmKind k) { return kCmNames[static_cast<int>(k)]; }
+
+std::optional<CmKind> parse_cm_name(std::string_view s) {
+  for (int k = 0; k < 4; ++k) {
+    if (s == kCmNames[k]) return static_cast<CmKind>(k);
   }
-  return "?";
+  return std::nullopt;
 }
 
 std::unique_ptr<ContentionManager> make_contention_manager(CmKind kind,

@@ -27,6 +27,8 @@
 #include <deque>
 #include <memory>
 #include <mutex>
+#include <optional>
+#include <string_view>
 #include <vector>
 
 #include "runtime/stats.hpp"
@@ -35,7 +37,10 @@ namespace pi2m {
 
 enum class CmKind : std::uint8_t { Aggressive, Random, Global, Local };
 
-const char* to_string(CmKind k);
+/// The one spelling of each scheme ("aggressive", "random", "global",
+/// "local"): CLI flag value, wire value, manifests and bench printouts.
+const char* cm_name(CmKind k);
+std::optional<CmKind> parse_cm_name(std::string_view s);
 
 /// Shared context the CM consults while blocking.
 struct CmContext {

@@ -192,8 +192,12 @@ StealLevel LoadBalancer::classify(int giver, int beggar) const {
   return StealLevel::InterBlade;
 }
 
-const char* to_string(LbKind k) {
-  return k == LbKind::RWS ? "RWS" : "HWS";
+const char* lb_name(LbKind k) { return k == LbKind::RWS ? "rws" : "hws"; }
+
+std::optional<LbKind> parse_lb_name(std::string_view s) {
+  if (s == "rws") return LbKind::RWS;
+  if (s == "hws") return LbKind::HWS;
+  return std::nullopt;
 }
 
 std::unique_ptr<LoadBalancer> make_load_balancer(LbKind kind,

@@ -30,6 +30,8 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
+#include <optional>
+#include <string_view>
 #include <vector>
 
 #include "runtime/topology.hpp"
@@ -38,7 +40,10 @@ namespace pi2m {
 
 enum class LbKind : std::uint8_t { RWS, HWS };
 
-const char* to_string(LbKind k);
+/// The one spelling of each scheme ("rws", "hws"): CLI flag value, wire
+/// value, manifests and bench printouts.
+const char* lb_name(LbKind k);
+std::optional<LbKind> parse_lb_name(std::string_view s);
 
 /// Locality of a work transfer, measured against the virtual topology.
 enum class StealLevel : std::uint8_t { IntraSocket = 0, IntraBlade = 1, InterBlade = 2 };

@@ -53,8 +53,11 @@ class JsonValue {
   [[nodiscard]] double as_double(double fallback = 0.0) const {
     return is_number() ? num_ : fallback;
   }
+  /// The fallback also for a number outside int64's range (no value).
   [[nodiscard]] std::int64_t as_int(std::int64_t fallback = 0) const {
-    return is_number() ? static_cast<std::int64_t>(num_) : fallback;
+    return is_number() && num_ > -9.2e18 && num_ < 9.2e18
+               ? static_cast<std::int64_t>(num_)
+               : fallback;
   }
   [[nodiscard]] const std::string& as_string() const {
     static const std::string kEmpty;

@@ -1,7 +1,9 @@
 #include "serve/protocol.hpp"
 
+#include <cmath>
 #include <memory>
 #include <utility>
+#include <variant>
 #include <vector>
 
 #include "telemetry/json_writer.hpp"
@@ -33,10 +35,16 @@ bool parse_priority(std::string_view name, Priority* out) {
 namespace {
 
 bool decode_volume(const JsonValue& v, JobSpec* spec, std::string* error) {
-  const int nx = static_cast<int>(v["nx"].as_int());
-  const int ny = static_cast<int>(v["ny"].as_int());
-  const int nz = static_cast<int>(v["nz"].as_int());
-  if (nx < 1 || ny < 1 || nz < 1 || nx > 4096 || ny > 4096 || nz > 4096) {
+  // Checked as doubles: a huge or fractional JSON number must not wrap or
+  // truncate into range on its way to int.
+  const auto dim = [&](const char* key) {
+    const double d = v[key].as_double();
+    return d >= 1 && d <= 4096 && d == std::trunc(d) ? static_cast<int>(d) : 0;
+  };
+  const int nx = dim("nx");
+  const int ny = dim("ny");
+  const int nz = dim("nz");
+  if (nx < 1 || ny < 1 || nz < 1) {
     *error = "volume: bad dimensions";
     return false;
   }
@@ -73,6 +81,28 @@ bool decode_volume(const JsonValue& v, JobSpec* spec, std::string* error) {
   return true;
 }
 
+/// One job-object member through its option row: an array for a list
+/// row, one number, bool or string otherwise.
+std::string decode_option(const JobOption& o, const JsonValue& v,
+                          JobSpec& spec) {
+  if (std::holds_alternative<ListField>(o.field) != v.is_array()) {
+    return v.is_array() ? "want a single value" : "want an array";
+  }
+  for (const JsonValue& item : v.is_array() ? v.as_array() : JsonArray{v}) {
+    if (!item.is_number() && !item.is_bool() && !item.is_string()) {
+      return "want a number, bool or string";
+    }
+    const std::string why = set_option(
+        o,
+        item.is_number() ? telemetry::ConfigValue(item.as_double())
+        : item.is_bool() ? telemetry::ConfigValue(item.as_bool())
+                         : telemetry::ConfigValue(item.as_string()),
+        spec);
+    if (!why.empty()) return why;
+  }
+  return "";
+}
+
 }  // namespace
 
 bool decode_job(const JsonValue& j, JobSpec* spec, std::string* error) {
@@ -80,85 +110,56 @@ bool decode_job(const JsonValue& j, JobSpec* spec, std::string* error) {
     *error = "job must be an object";
     return false;
   }
-  spec->input_path = j["input"].as_string();
-  spec->phantom = j["phantom"].as_string();
-  if (j["size"].is_number()) {
-    spec->phantom_size = static_cast<int>(j["size"].as_int());
+  JobSpec s = wire_job_defaults();
+  for (const auto& [key, v] : j.as_object()) {
+    if (key == "volume") {
+      if (!v.is_object()) {
+        *error = "volume must be an object";
+        return false;
+      }
+      if (!decode_volume(v, &s, error)) return false;
+      continue;
+    }
+    const JobOption* o = find_job_option(key, Surface::Wire);
+    if (o == nullptr) {
+      *error = "unknown job key '" + key + "'";
+      return false;
+    }
+    const std::string why = decode_option(*o, v, s);
+    if (!why.empty()) {
+      *error = key + ": " + why;
+      return false;
+    }
   }
-  if (j["volume"].is_object() &&
-      !decode_volume(j["volume"], spec, error)) {
-    return false;
-  }
-  int inputs = 0;
-  if (!spec->input_path.empty()) ++inputs;
-  if (!spec->phantom.empty()) ++inputs;
-  if (spec->inline_image != nullptr) ++inputs;
+  const int inputs = int{!s.input_path.empty()} + int{!s.phantom.empty()} +
+                     int{s.inline_image != nullptr};
   if (inputs != 1) {
     *error = "job needs exactly one of input/phantom/volume";
     return false;
   }
-
-  if (j["downsample"].is_number()) {
-    spec->downsample = static_cast<int>(j["downsample"].as_int());
-  }
-  if (j["crop_pad"].is_number()) {
-    spec->crop_pad = static_cast<int>(j["crop_pad"].as_int());
-  }
-  spec->mesh.delta = j["delta"].as_double(spec->mesh.delta);
-  if (spec->mesh.delta <= 0) {
-    *error = "delta must be positive";
-    return false;
-  }
-  spec->mesh.radius_edge_bound =
-      j["rho"].as_double(spec->mesh.radius_edge_bound);
-  spec->mesh.min_planar_angle_deg =
-      j["facet_angle"].as_double(spec->mesh.min_planar_angle_deg);
-  spec->uniform_size = j["uniform_size"].as_double(spec->uniform_size);
-  // 0 = "not specified": the service substitutes its configured default.
-  spec->mesh.threads = static_cast<int>(j["threads"].as_int(0));
-  if (j["cm"].is_string()) {
-    const auto cm = parse_cm_name(j["cm"].as_string());
-    if (!cm) {
-      *error = "unknown contention manager '" + j["cm"].as_string() + "'";
-      return false;
-    }
-    spec->mesh.contention_manager = *cm;
-  }
-  if (j["lb"].is_string()) {
-    const auto lb = parse_lb_name(j["lb"].as_string());
-    if (!lb) {
-      *error = "unknown load balancer '" + j["lb"].as_string() + "'";
-      return false;
-    }
-    spec->mesh.load_balancer = *lb;
-  }
-  if (j["interior"].is_string()) {
-    const auto fill = parse_interior_name(j["interior"].as_string());
-    if (!fill) {
-      *error = "unknown interior fill '" + j["interior"].as_string() + "'";
-      return false;
-    }
-    spec->mesh.interior = *fill;
-  }
-  spec->mesh.lattice_spacing =
-      j["lattice_spacing"].as_double(spec->mesh.lattice_spacing);
-  if (spec->mesh.lattice_spacing < 0) {
-    *error = "lattice_spacing must be non-negative";
-    return false;
-  }
-  if (j["smooth"].is_number()) {
-    spec->smooth = static_cast<int>(j["smooth"].as_int());
-  }
-  spec->want_report = j["report"].as_bool(spec->want_report);
-  spec->want_validation = j["validate"].as_bool(spec->want_validation);
-  for (const JsonValue& out : j["outputs"].as_array()) {
-    if (!out.is_string()) {
-      *error = "outputs must be an array of paths";
-      return false;
-    }
-    spec->outputs.push_back(out.as_string());
-  }
+  *spec = std::move(s);
   return true;
+}
+
+std::string encode_job(const JobSpec& spec) {
+  static const JobSpec defaults = wire_job_defaults();
+  telemetry::JsonWriter w;
+  w.begin_object();
+  for (const JobOption& o : job_options()) {
+    if (!o.wire || same_option_value(o, spec, defaults)) continue;
+    w.key(o.key);
+    if (const auto* l = std::get_if<ListField>(&o.field)) {
+      w.begin_array();
+      for (const std::string& v : l->field(const_cast<JobSpec&>(spec))) {
+        w.value(v);
+      }
+      w.end_array();
+    } else {
+      std::visit([&](const auto& v) { w.value(v); }, option_value(o, spec));
+    }
+  }
+  w.end_object();
+  return w.str();
 }
 
 Request parse_request(std::string_view line) {
@@ -181,7 +182,7 @@ Request parse_request(std::string_view line) {
     if (!decode_job(root["job"], &req.job, &req.error)) return req;
     req.op = Request::Op::Submit;
   } else if (op == "status" || op == "cancel" || op == "result") {
-    if (!root["id"].is_number() || root["id"].as_int() < 0) {
+    if (root["id"].as_int(-1) < 0) {
       req.error = "missing or bad 'id'";
       return req;
     }

@@ -17,10 +17,9 @@
 //   "volume": {"nx":..,"ny":..,"nz":..,
 //              "spacing":[sx,sy,sz], "origin":[ox,oy,oz],
 //              "labels_b64": "<base64 of nx*ny*nz label bytes>"}
-//   "downsample", "crop_pad", "delta", "rho", "facet_angle",
-//   "uniform_size", "threads", "cm", "lb", "smooth",
-//   "interior": "lattice|delaunay", "lattice_spacing",
-//   "report", "validate", "outputs": ["/path/out.vtk"]
+// plus the `wire` rows of the table in pipeline/job_options.cpp, each a
+// JSON value of its row's kind; a wrong type, an out-of-range value or a
+// key not in the table is BAD_REQUEST.
 //
 // Responses always carry "ok". Failures carry a stable machine-readable
 // "code" (kRejectedOverload, kDraining, kNotFound, ...) plus a
@@ -32,6 +31,7 @@
 #include <string>
 #include <string_view>
 
+#include "pipeline/job_options.hpp"
 #include "pipeline/mesh_job.hpp"
 #include "serve/job_queue.hpp"
 #include "serve/json.hpp"
@@ -73,10 +73,14 @@ struct Request {
 /// Op::Invalid with `error` set.
 Request parse_request(std::string_view line);
 
-/// Decodes the "job" object into a JobSpec (defaults per JobSpec).
-/// `threads` is left at 0 when absent so the service can apply its
-/// configured per-job default.
+/// Decodes the "job" object into a JobSpec, starting from
+/// wire_job_defaults(): `threads` stays 0 when absent so the service can
+/// apply its configured per-job default. On failure *spec is untouched.
 bool decode_job(const JsonValue& j, JobSpec* spec, std::string* error);
+
+/// The job object decode_job reads back as `spec`: every wire row whose
+/// value differs from wire_job_defaults(). The inline volume is not sent.
+std::string encode_job(const JobSpec& spec);
 
 /// {"ok":false,"code":code,"error":detail}
 std::string error_response(const char* code, const std::string& detail);

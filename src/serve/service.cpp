@@ -169,7 +169,7 @@ void MeshService::run_job(const std::shared_ptr<JobRecord>& rec) {
   rec->error = art.error;
 
   telemetry::RunManifest man = job.build_manifest("pi2m_serve");
-  man.set_config("job_id", std::to_string(rec->id));
+  man.set_config("job_id", static_cast<std::int64_t>(rec->id));
   man.set_config("priority", priority_name(rec->priority));
   rec->manifest_json = man.to_json();
   if (!cfg_.manifest_dir.empty()) {

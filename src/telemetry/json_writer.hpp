@@ -9,6 +9,7 @@
 // instead of a parse error.
 #pragma once
 
+#include <charconv>
 #include <cinttypes>
 #include <cmath>
 #include <cstdint>
@@ -51,9 +52,9 @@ class JsonWriter {
     if (!std::isfinite(d)) {
       append_escaped(std::isnan(d) ? "nan" : (d > 0 ? "inf" : "-inf"));
     } else {
+      // Shortest text that parses back to the same double.
       char buf[32];
-      std::snprintf(buf, sizeof buf, "%.17g", d);
-      out_ += buf;
+      out_.append(buf, std::to_chars(buf, buf + sizeof buf, d).ptr);
     }
     return done();
   }

@@ -29,16 +29,6 @@ std::string iso8601_utc_now() {
   return buf;
 }
 
-void RunManifest::set_config(std::string_view key, double value) {
-  char buf[32];
-  std::snprintf(buf, sizeof buf, "%g", value);
-  set_config(key, buf);
-}
-
-void RunManifest::set_config(std::string_view key, int value) {
-  set_config(key, std::to_string(value));
-}
-
 std::string RunManifest::to_json() const {
   JsonWriter w;
   w.begin_object();
@@ -52,7 +42,9 @@ std::string RunManifest::to_json() const {
        static_cast<std::uint64_t>(std::thread::hardware_concurrency()));
   w.end_object();
   w.key("config").begin_object();
-  for (const auto& [k, v] : config) w.kv(k, v);
+  for (const auto& [k, v] : config) {
+    std::visit([&, &k = k](const auto& x) { w.kv(k, x); }, v);
+  }
   w.end_object();
   w.key("phases").begin_object();
   for (const auto& [name, sec] : phases) w.kv(name, sec);

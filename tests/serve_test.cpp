@@ -20,6 +20,7 @@
 #include "core/refiner.hpp"
 #include "imaging/edt_cache.hpp"
 #include "imaging/phantom.hpp"
+#include "pipeline/job_options.hpp"
 #include "pipeline/mesh_job.hpp"
 #include "serve/job_queue.hpp"
 #include "serve/json.hpp"
@@ -149,6 +150,8 @@ TEST(ServeProtocol, RejectsBadRequests) {
   EXPECT_EQ(parse_request("not json").op, Request::Op::Invalid);
   EXPECT_EQ(parse_request(R"({"op":"warp"})").op, Request::Op::Invalid);
   EXPECT_EQ(parse_request(R"({"op":"status"})").op, Request::Op::Invalid);
+  EXPECT_EQ(parse_request(R"({"op":"status","id":1e300})").op,
+            Request::Op::Invalid);
   // No input at all, two inputs, bad knobs.
   EXPECT_EQ(parse_request(R"({"op":"submit","job":{}})").op,
             Request::Op::Invalid);
@@ -168,6 +171,45 @@ TEST(ServeProtocol, RejectsBadRequests) {
                           R"("job":{"phantom":"ball"}})")
                 .op,
             Request::Op::Invalid);
+}
+
+TEST(ServeProtocol, RefusesBadJobValues) {
+  // Wrong JSON type, unknown or command-line-only key, fraction or
+  // out-of-range number, unknown output format: BAD_REQUEST, not a
+  // silent default or a failure after meshing.
+  for (const char* knob :
+       {R"("delta":0)", R"("delta":-1)", R"("delta":"abc")", R"("delat":1)",
+        R"("threads":2.7)", R"("threads":1e12)", R"("threads":-1)",
+        R"("threads":257)", R"("size":1)", R"("report":1)", R"("cm":3)",
+        R"("cm":"Global-CM")", R"("outputs":"/tmp/m.vtk")",
+        R"("outputs":[3])", R"("outputs":["/tmp/m.obj"])",
+        R"("outputs":["/tmp/m.vtk","/tmp/m"])", R"("pin":true)",
+        R"("park_spin_us":10)", R"("topology":"auto")", R"("volume":5)",
+        R"("volume":{"nx":4294967297,"ny":1,"nz":1,"labels_b64":"AA=="})"}) {
+    const std::string line =
+        std::string(R"({"op":"submit","job":{"phantom":"ball",)") + knob +
+        "}}";
+    const Request req = parse_request(line);
+    EXPECT_EQ(req.op, Request::Op::Invalid) << knob;
+    EXPECT_FALSE(req.error.empty()) << knob;
+  }
+  JobSpec spec;
+  std::string err;
+  ASSERT_FALSE(decode_job(
+      json_parse(R"({"phantom":"ball","outputs":["/tmp/m.obj"]})"), &spec,
+      &err));
+  EXPECT_NE(err.find("outputs"), std::string::npos) << err;
+  EXPECT_NE(err.find("/tmp/m.obj"), std::string::npos) << err;
+
+  // The thread bound's ends decode; 0 stays "the service's default".
+  ASSERT_TRUE(
+      decode_job(json_parse(R"({"phantom":"ball","threads":256})"), &spec, &err))
+      << err;
+  EXPECT_EQ(spec.mesh.threads, kMaxJobThreads);
+  ASSERT_TRUE(
+      decode_job(json_parse(R"({"phantom":"ball","threads":0})"), &spec, &err))
+      << err;
+  EXPECT_EQ(spec.mesh.threads, 0);
 }
 
 TEST(ServeProtocol, DecodesInlineVolume) {

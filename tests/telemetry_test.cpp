@@ -394,9 +394,9 @@ TEST(RunManifestTest, WriteAndSchema) {
   const std::string text = slurp(path);
   EXPECT_TRUE(JsonChecker(text).valid()) << text;
   EXPECT_NE(text.find("\"schema\":\"pi2m-manifest\""), std::string::npos);
-  EXPECT_NE(text.find("\"schema_version\":1"), std::string::npos);
+  EXPECT_NE(text.find("\"schema_version\":2"), std::string::npos);
   EXPECT_NE(text.find("\"tool\":\"telemetry_test\""), std::string::npos);
-  EXPECT_NE(text.find("\"threads\":\"4\""), std::string::npos);
+  EXPECT_NE(text.find("\"threads\":4"), std::string::npos);
   EXPECT_NE(text.find("\"edt\":0.25"), std::string::npos);
   EXPECT_NE(text.find("\"refine.operations\":1234"), std::string::npos);
   EXPECT_NE(text.find("\"notes\":\"unit test\""), std::string::npos);

@@ -111,15 +111,15 @@ TEST(Torture, RefinerSixteenThreadsEveryConfig) {
     opt.watchdog_sec = 60.0;
     Refiner refiner(img, opt);
     const RefineOutcome out = refiner.refine();
-    ASSERT_TRUE(out.completed) << to_string(cm);
-    EXPECT_EQ(refiner.mesh().check_integrity(false), "") << to_string(cm);
+    ASSERT_TRUE(out.completed) << cm_name(cm);
+    EXPECT_EQ(refiner.mesh().check_integrity(false), "") << cm_name(cm);
     const Vec3 ext = refiner.mesh().box().extent();
     EXPECT_NEAR(refiner.mesh().total_volume(), ext.x * ext.y * ext.z,
                 1e-6 * ext.x * ext.y * ext.z)
-        << to_string(cm);
+        << cm_name(cm);
     for (VertexId v = 0; v < refiner.mesh().vertex_count(); ++v) {
       ASSERT_EQ(refiner.mesh().vertex(v).owner.load(), -1)
-          << to_string(cm) << " leaked lock " << v;
+          << cm_name(cm) << " leaked lock " << v;
     }
   }
 }
