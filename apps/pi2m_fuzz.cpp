@@ -256,11 +256,11 @@ void run_refiner_case(const LabeledImage3D& img, int threads, CmKind cm,
                       check::MeshSnapshot* concurrent_out, Aabb* box_out,
                       std::vector<check::OpRecord>* log_out,
                       double delta = 2.5) {
-  RefinerOptions opt;
+  MeshingOptions opt;
   opt.threads = threads;
-  opt.cm = cm;
-  opt.lb = lb;
-  opt.rules.delta = delta;
+  opt.contention_manager = cm;
+  opt.load_balancer = lb;
+  opt.delta = delta;
   opt.max_vertices = std::size_t{1} << 20;
   opt.max_cells = std::size_t{1} << 22;
   opt.watchdog_sec = 60.0;

@@ -16,22 +16,29 @@
 #include <cstring>
 #include <string>
 
+#include "pipeline/job_options.hpp"
 #include "serve/server.hpp"
 
 namespace {
+
+constexpr double kMaxQueueCap = 1 << 20;
+constexpr double kMaxEdtCacheMb = 1 << 20;  ///< 1 TiB; no shift overflow
 
 void usage() {
   std::puts(
       "pi2m_serve - long-lived image-to-mesh daemon\n"
       "\n"
       "  --socket PATH           AF_UNIX socket to listen on (required)\n"
-      "  --executors N           concurrent in-flight jobs (default 4)\n"
-      "  --queue-cap N           queued-job bound; beyond it submissions\n"
-      "                          are rejected with REJECTED_OVERLOAD\n"
-      "                          (default 64)\n"
+      "  --executors N           concurrent in-flight jobs, 1-256\n"
+      "                          (default 4)\n"
+      "  --queue-cap N           queued-job bound, 1-1048576; beyond it\n"
+      "                          submissions are rejected with\n"
+      "                          REJECTED_OVERLOAD (default 64)\n"
       "  --threads-per-job N     refinement workers per job when the\n"
-      "                          request does not specify (default 1)\n"
-      "  --edt-cache-mb N        EDT/oracle cache byte budget (default 256)\n"
+      "                          request does not specify, 1-256\n"
+      "                          (default 1)\n"
+      "  --edt-cache-mb N        EDT/oracle cache budget in MiB,\n"
+      "                          0-1048576 (default 256)\n"
       "  --manifest-dir DIR      write job_<id>.json run manifests here\n"
       "  --no-warm-arena         disable arena block recycling across jobs\n");
 }
@@ -56,20 +63,30 @@ int main(int argc, char** argv) {
       }
       return argv[++i];
     };
+    // A whole integer in [lo, hi], parsed as the job flags are.
+    auto integer = [&](double lo, double hi) {
+      double v = 0;
+      const std::string why = pi2m::parse_number(next(), lo, hi, true, v);
+      if (!why.empty()) {
+        std::fprintf(stderr, "%s: %s\n", key.c_str(), why.c_str());
+        std::exit(2);
+      }
+      return v;
+    };
     if (key == "--help" || key == "-h") {
       usage();
       return 0;
     } else if (key == "--socket") {
       socket_path = next();
     } else if (key == "--executors") {
-      cfg.executors = std::atoi(next());
+      cfg.executors = static_cast<int>(integer(1, pi2m::kMaxJobThreads));
     } else if (key == "--queue-cap") {
-      cfg.queue_capacity = static_cast<std::size_t>(std::atoll(next()));
+      cfg.queue_capacity = static_cast<std::size_t>(integer(1, kMaxQueueCap));
     } else if (key == "--threads-per-job") {
-      cfg.default_threads = std::atoi(next());
+      cfg.default_threads = static_cast<int>(integer(1, pi2m::kMaxJobThreads));
     } else if (key == "--edt-cache-mb") {
-      cfg.edt_cache_bytes =
-          static_cast<std::size_t>(std::atoll(next())) << 20;
+      cfg.edt_cache_bytes = static_cast<std::size_t>(integer(0, kMaxEdtCacheMb))
+                            << 20;
     } else if (key == "--manifest-dir") {
       cfg.manifest_dir = next();
     } else if (key == "--no-warm-arena") {
@@ -81,11 +98,6 @@ int main(int argc, char** argv) {
   }
   if (socket_path.empty()) {
     std::fprintf(stderr, "need --socket PATH (try --help)\n");
-    return 2;
-  }
-  if (cfg.executors < 1 || cfg.default_threads < 1 ||
-      cfg.queue_capacity < 1) {
-    std::fprintf(stderr, "executors/threads-per-job/queue-cap must be >= 1\n");
     return 2;
   }
 

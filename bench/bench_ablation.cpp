@@ -19,10 +19,10 @@ namespace {
 RefineOutcome run(const LabeledImage3D& img, double delta, int threads,
                   double removal_factor, int give_threshold,
                   TopologySpec topo) {
-  RefinerOptions opt;
+  MeshingOptions opt;
   opt.threads = threads;
-  opt.rules.delta = delta;
-  opt.rules.removal_factor = removal_factor;
+  opt.delta = delta;
+  opt.removal_factor = removal_factor;
   opt.give_threshold = give_threshold;
   opt.topology = topo;
   Refiner refiner(img, opt);

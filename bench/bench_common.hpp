@@ -38,13 +38,13 @@ struct RunConfig {
 };
 
 inline RefineOutcome run_pi2m(const LabeledImage3D& img, const RunConfig& cfg) {
-  RefinerOptions opt;
+  MeshingOptions opt;
   opt.threads = cfg.threads;
-  opt.cm = cfg.cm;
-  opt.lb = cfg.lb;
+  opt.contention_manager = cfg.cm;
+  opt.load_balancer = cfg.lb;
   opt.topology = cfg.topo;
-  opt.rules.delta = cfg.delta;
-  opt.rules.size_fn = cfg.size_fn;
+  opt.delta = cfg.delta;
+  opt.size_function = cfg.size_fn;
   opt.watchdog_sec = cfg.watchdog_sec;
   opt.record_timeline = cfg.timeline;
   opt.timeline_period_sec = cfg.timeline_period;

@@ -36,9 +36,9 @@ void run_case(const char* name, const LabeledImage3D& img, double delta,
               const std::string& outdir) {
   std::printf("(Figures 7-9 artifacts) input: %s\n", name);
 
-  RefinerOptions opt;
+  MeshingOptions opt;
   opt.threads = 1;
-  opt.rules.delta = delta;
+  opt.delta = delta;
   Refiner refiner(img, opt);
   if (!refiner.refine().completed) {
     std::fprintf(stderr, "  PI2M failed\n");

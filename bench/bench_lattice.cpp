@@ -1,6 +1,6 @@
 // bench_lattice — hybrid BCC interior fill vs pure Delaunay refinement on
 // the volume-dominated ellipsoid phantom (the acceptance benchmark of the
-// hybrid interior fill; results recorded in BENCH_lattice.json).
+// hybrid interior fill; its 1-core result is quoted in DESIGN.md).
 //
 // Measures element throughput (us per element of refinement wall time,
 // which for the hybrid mode includes the lattice fill + interface seeding)

@@ -8,7 +8,7 @@
 // every job recomputes the feature transform) and once warm (the cache
 // is pre-seeded, every job hits). Reports jobs/sec and the mesh-latency
 // p50/p95/p99 per configuration; with --manifest the whole table is also
-// written as one JSON document (the BENCH_serve.json artifact).
+// written as one JSON document.
 //
 // On a single-hardware-thread container the in-flight levels timeshare
 // one core, so jobs/sec does not scale with executors — the cold-vs-warm

@@ -93,9 +93,9 @@ void run_case(const char* name, const LabeledImage3D& img, double delta) {
   bench::RunConfig cfg;
   cfg.delta = delta;
   cfg.threads = 1;
-  RefinerOptions opt;
+  MeshingOptions opt;
   opt.threads = 1;
-  opt.rules.delta = delta;
+  opt.delta = delta;
   Refiner refiner(img, opt);
   const RefineOutcome out = refiner.refine();
   ToolResult pi2m_res;

@@ -37,12 +37,12 @@ int main(int argc, char** argv) {
 
   for (const Config& cfg : configs) {
     for (int threads = 1; threads <= max_threads; threads *= 2) {
-      pi2m::RefinerOptions opt;
+      pi2m::MeshingOptions opt;
       opt.threads = threads;
-      opt.cm = cfg.cm;
-      opt.lb = cfg.lb;
+      opt.contention_manager = cfg.cm;
+      opt.load_balancer = cfg.lb;
       opt.topology = {2, 2};  // small virtual sockets exercise all BL levels
-      opt.rules.delta = delta;
+      opt.delta = delta;
       pi2m::Refiner refiner(img, opt);
       const pi2m::RefineOutcome out = refiner.refine();
       if (!out.completed) {

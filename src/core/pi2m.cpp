@@ -130,37 +130,13 @@ TetMesh extract_mesh(const DelaunayMesh& mesh, const IsosurfaceOracle& oracle,
   return out;
 }
 
-RefinerOptions to_refiner_options(const MeshingOptions& opt) {
-  PI2M_CHECK(opt.delta > 0.0, "MeshingOptions::delta must be positive");
-  RefinerOptions r;
-  r.threads = opt.threads;
-  r.cm = opt.contention_manager;
-  r.lb = opt.load_balancer;
-  r.topology = opt.topology;
-  r.interior = opt.interior;
-  r.lattice_spacing = opt.lattice_spacing;
-  r.rules.delta = opt.delta;
-  r.rules.rho_bound = opt.radius_edge_bound;
-  r.rules.min_planar_angle_deg = opt.min_planar_angle_deg;
-  r.rules.size_fn = opt.size_function;
-  r.max_vertices = opt.max_vertices;
-  r.max_cells = opt.max_cells;
-  r.watchdog_sec = opt.watchdog_sec;
-  r.pin = opt.pin;
-  r.topology_auto = opt.topology_auto;
-  r.park_spin_us = opt.park_spin_us;
-  r.cancel = opt.cancel;
-  r.warm_arena = opt.warm_arena;
-  return r;
-}
-
 MeshingResult mesh_image(const LabeledImage3D& img, const MeshingOptions& opt) {
   return mesh_image(img, opt, nullptr);
 }
 
 MeshingResult mesh_image(const LabeledImage3D& img, const MeshingOptions& opt,
                          std::shared_ptr<const IsosurfaceOracle> warm_oracle) {
-  Refiner refiner(img, to_refiner_options(opt), std::move(warm_oracle));
+  Refiner refiner(img, opt, std::move(warm_oracle));
   MeshingResult res;
   res.outcome = refiner.refine();
   const double t0 = now_sec();

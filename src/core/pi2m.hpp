@@ -3,7 +3,7 @@
 // One call turns a multi-label segmented image into a quality tetrahedral
 // mesh whose boundary faces lie on the recovered isosurfaces:
 //
-//   pi2m::MeshingOptions opt;
+//   pi2m::MeshingOptions opt;              // every knob (core/refiner.hpp)
 //   opt.delta = 2.0;                       // surface sample spacing (mm)
 //   opt.threads = 8;
 //   pi2m::MeshingResult res = pi2m::mesh_image(image, opt);
@@ -50,45 +50,6 @@ TetMesh extract_mesh(const DelaunayMesh& mesh, const IsosurfaceOracle& oracle,
                      int threads = 1,
                      const lattice::LatticeFill* lattice = nullptr);
 
-struct MeshingOptions {
-  /// Surface sample spacing δ (world units). The dominant knob: halving δ
-  /// roughly multiplies the element count by 8 (paper §6.3's volume
-  /// argument). Required.
-  double delta = 0.0;
-  double radius_edge_bound = 2.0;
-  double min_planar_angle_deg = 30.0;
-  SizeFunction size_function;  ///< optional volume sizing field (R5)
-
-  /// Interior fill strategy: BCC-lattice bulk + Delaunay skin (default) or
-  /// pure Delaunay refinement (`delaunay`, the pre-hybrid behaviour and the
-  /// A/B baseline). Small images degrade to identical pure-Delaunay output.
-  InteriorFill interior = InteriorFill::Lattice;
-  /// Lattice cube size (world units); <= 0 = automatic (2δ).
-  double lattice_spacing = 0.0;
-
-  int threads = 1;
-  CmKind contention_manager = CmKind::Local;
-  LbKind load_balancer = LbKind::HWS;
-  TopologySpec topology{};
-
-  std::size_t max_vertices = std::size_t{1} << 22;
-  std::size_t max_cells = std::size_t{1} << 24;
-  double watchdog_sec = 30.0;
-
-  /// Scheduler & memory-locality knobs (see RefinerOptions for semantics):
-  /// pin workers to cpus, probe the host topology instead of the declared
-  /// spec, spin budget before parking.
-  bool pin = false;
-  bool topology_auto = false;
-  int park_spin_us = 50;
-
-  /// Serving hooks (see RefinerOptions for semantics): cooperative
-  /// cancellation checked at refinement-loop boundaries, and warm
-  /// recycled arena storage for repeated meshes in one process.
-  const std::atomic<bool>* cancel = nullptr;
-  bool warm_arena = false;
-};
-
 struct MeshingResult {
   TetMesh mesh;
   RefineOutcome outcome;
@@ -113,8 +74,10 @@ MeshingResult mesh_image(const LabeledImage3D& img, const MeshingOptions& opt);
 MeshingResult mesh_image(const LabeledImage3D& img, const MeshingOptions& opt,
                          std::shared_ptr<const IsosurfaceOracle> warm_oracle);
 
-/// Translates the public options into refiner options (exposed for benches
-/// that need to drive the Refiner directly).
-RefinerOptions to_refiner_options(const MeshingOptions& opt);
+/// Identity. The benchmark sources (perfbench/) still call it; drop it with
+/// their next change.
+inline MeshingOptions to_refiner_options(const MeshingOptions& opt) {
+  return opt;
+}
 
 }  // namespace pi2m

@@ -26,7 +26,7 @@ constexpr std::uint32_t kArenaBlock = 256;
 /// termination/done checks, so they must stay short.
 constexpr std::uint64_t kParkTimeoutUs = 1000;
 
-Topology make_topology(const RefinerOptions& opt) {
+Topology make_topology(const MeshingOptions& opt) {
   const int n = std::max(1, opt.threads);
   if (opt.topology_auto) {
     return Topology::from_probe(n, probe_host_topology());
@@ -36,17 +36,19 @@ Topology make_topology(const RefinerOptions& opt) {
 
 }  // namespace
 
-Refiner::Refiner(const LabeledImage3D& img, RefinerOptions opt)
+Refiner::Refiner(const LabeledImage3D& img, MeshingOptions opt)
     : Refiner(img, std::move(opt), nullptr) {}
 
-Refiner::Refiner(const LabeledImage3D& img, RefinerOptions opt,
+Refiner::Refiner(const LabeledImage3D& img, MeshingOptions opt,
                  std::shared_ptr<const IsosurfaceOracle> warm_oracle)
     : opt_(opt),
+      rules_{opt.delta, opt.radius_edge_bound, opt.min_planar_angle_deg,
+             opt.size_function, opt.removal_factor, nullptr},
       img_(&img),
       topo_(make_topology(opt)),
       stats_(static_cast<std::size_t>(std::max(1, opt.threads))) {
   opt_.threads = std::max(1, opt_.threads);
-  PI2M_CHECK(opt_.rules.delta > 0.0, "RefineRulesConfig::delta must be set");
+  PI2M_CHECK(opt_.delta > 0.0, "MeshingOptions::delta must be positive");
 
   if (warm_oracle != nullptr) {
     // EDT cache hit: the feature transform is already computed and shared.
@@ -56,9 +58,7 @@ Refiner::Refiner(const LabeledImage3D& img, RefinerOptions opt,
     const double t0 = now_sec();
     {
       PI2M_TRACE_SPAN("phase.edt", "phase");
-      const int edt_threads =
-          opt_.edt_threads > 0 ? opt_.edt_threads : opt_.threads;
-      oracle_ = std::make_shared<IsosurfaceOracle>(img, edt_threads);
+      oracle_ = std::make_shared<IsosurfaceOracle>(img, opt_.threads);
     }
     edt_sec_ = now_sec() - t0;
   }
@@ -72,18 +72,18 @@ Refiner::Refiner(const LabeledImage3D& img, RefinerOptions opt,
 
   // Cell size = 2x query radius: a query ball overlaps at most 8 cells.
   // (removal_factor 0 disables R6; the grid still needs a positive cell.)
-  const double delta = opt_.rules.delta;
+  const double delta = opt_.delta;
   iso_grid_ = std::make_unique<SpatialHashGrid>(box, 2.0 * delta);
   cc_grid_ = std::make_unique<SpatialHashGrid>(
-      box, 2.0 * std::max(opt_.rules.removal_factor, 1.0) * delta);
+      box, 2.0 * std::max(opt_.removal_factor, 1.0) * delta);
 
-  lb_ = make_load_balancer(opt_.lb, topo_);
+  lb_ = make_load_balancer(opt_.load_balancer, topo_);
   CmContext cm_ctx;
   cm_ctx.done = &done_;
   cm_ctx.idle_threads = &idle_count_;
   cm_ctx.nthreads = opt_.threads;
   cm_ctx.seed = opt_.rng_seed;
-  cm_ = make_contention_manager(opt_.cm, cm_ctx);
+  cm_ = make_contention_manager(opt_.contention_manager, cm_ctx);
 
   ctxs_.reserve(static_cast<std::size_t>(opt_.threads));
   for (int t = 0; t < opt_.threads; ++t) {
@@ -204,7 +204,7 @@ void Refiner::handle_insertion(int tid, const PelEntry& e) {
   // marks entries that classified clean (no operation attempted).
   telemetry::Span op_span("op.insert", "op");
   const Classification cls =
-      classify_cell(*mesh_, e.cell, *oracle_, *iso_grid_, opt_.rules,
+      classify_cell(*mesh_, e.cell, *oracle_, *iso_grid_, rules_,
                     geom_cache_.get(), tid);
   op_span.set_arg("rule", static_cast<std::uint64_t>(cls.rule));
   if (cls.rule == Rule::None) return;
@@ -223,7 +223,7 @@ void Refiner::handle_insertion(int tid, const PelEntry& e) {
   // locked region, and re-examine the cell under the updated grid instead
   // of committing a near-duplicate sample.
   if (cls.rule == Rule::R1 &&
-      iso_grid_->any_within(cls.point, opt_.rules.delta)) {
+      iso_grid_->any_within(cls.point, opt_.delta)) {
     if (mesh_->cell_gen(e.cell) == e.gen) {
       (e.near_surface ? ctx.pel_surface : ctx.pel_volume).push_back(e);
       outstanding_.fetch_add(1, std::memory_order_acq_rel);
@@ -253,7 +253,7 @@ void Refiner::handle_insertion(int tid, const PelEntry& e) {
         // R6: already-inserted circumcenters too close to the new surface
         // vertex must go.
         cc_grid_->collect_within(
-            cls.point, opt_.rules.removal_factor * opt_.rules.delta,
+            cls.point, opt_.removal_factor * opt_.delta,
             ctx.near_ccs);
         for (const auto& [pos, vid] : ctx.near_ccs) {
           ctx.removals.push_back(vid);
@@ -510,7 +510,7 @@ RefineOutcome Refiner::refine() {
       PI2M_TRACE_SPAN("phase.lattice_fill", "phase");
       const double t0 = now_sec();
       lattice_ = std::make_unique<lattice::LatticeFill>(
-          *oracle_, opt_.rules.delta, opt_.lattice_spacing, opt_.threads);
+          *oracle_, opt_.delta, opt_.lattice_spacing, opt_.threads);
       lattice_fill_sec = now_sec() - t0;
     }
     if (lattice_->empty()) {
@@ -527,7 +527,7 @@ RefineOutcome Refiner::refine() {
       for (auto& c : ctxs_) scratch.push_back(&c->scratch);
       lattice_seed_deferred = lattice_->seed_interface(*mesh_, scratch);
       lattice_seed_sec = now_sec() - t0;
-      opt_.rules.lattice = lattice_.get();
+      rules_.lattice = lattice_.get();
     }
   }
 

@@ -32,12 +32,18 @@
 
 namespace pi2m {
 
-struct RefinerOptions {
-  int threads = 1;
-  CmKind cm = CmKind::Local;
-  LbKind lb = LbKind::HWS;
-  TopologySpec topology{};
-  RefineRulesConfig rules{};
+/// Every meshing knob, taken as is by mesh_image() and the Refiner;
+/// pipeline/job_options declares which ones a job may set.
+struct MeshingOptions {
+  // ---- the rules R1-R6 (see core/rules.hpp) ----
+  /// Surface sample spacing δ (world units). The dominant knob: halving δ
+  /// roughly multiplies the element count by 8 (paper §6.3's volume
+  /// argument). Required: the Refiner refuses δ <= 0.
+  double delta = 0.0;
+  double radius_edge_bound = 2.0;      ///< ρ̄ (R4)
+  double min_planar_angle_deg = 30.0;  ///< boundary facet angle bound (R3)
+  SizeFunction size_function;          ///< optional volume sizing field (R5)
+  double removal_factor = 2.0;         ///< R6 radius = removal_factor * δ
 
   /// Interior strategy: BCC-lattice bulk + Delaunay skin (default), or pure
   /// Delaunay refinement everywhere (the escape hatch / A-B baseline).
@@ -48,29 +54,28 @@ struct RefinerOptions {
   /// 2δ (disphenoid edges then match the surface sample spacing scale).
   double lattice_spacing = 0.0;
 
-  std::size_t max_vertices = std::size_t{1} << 22;
-  std::size_t max_cells = std::size_t{1} << 24;
-  /// Safety valve: abort (budget_exhausted) after this many successful
-  /// operations. Termination is expected well before (paper [7,8]).
-  std::uint64_t op_budget = std::uint64_t{1} << 40;
-  /// Declare livelock when no operation completes for this long.
-  double watchdog_sec = 20.0;
+  // ---- parallel runtime ----
+  /// Refinement workers; the feature transform and extraction use as many.
+  int threads = 1;
+  CmKind contention_manager = CmKind::Local;
+  LbKind load_balancer = LbKind::HWS;
+  TopologySpec topology{};
   /// A thread only gives work when its PEL holds at least this many
   /// elements (paper §4.4; 5 "yielded the best results").
   int give_threshold = 5;
-
-  bool record_timeline = false;       ///< sample Figure-6 style series
-  double timeline_period_sec = 0.05;
-  int edt_threads = 0;                ///< 0 = same as `threads`
-
   /// Seed for randomized runtime decisions (Random-CM backoff streams).
   /// 0 = nondeterministic (std::random_device); non-zero makes the runtime's
   /// random choices reproducible for fuzzing and failure replay.
   std::uint64_t rng_seed = 0;
-  /// Run a full invariant audit (check/auditor.hpp) on the final mesh after
-  /// the workers join — the refinement-phase boundary, where the mesh is
-  /// quiescent. Violations land in RefineOutcome::audit_errors.
-  bool audit_final = false;
+
+  // ---- capacities and safety valves ----
+  std::size_t max_vertices = std::size_t{1} << 22;
+  std::size_t max_cells = std::size_t{1} << 24;
+  /// Abort (budget_exhausted) after this many successful operations.
+  /// Termination is expected well before (paper [7,8]).
+  std::uint64_t op_budget = std::uint64_t{1} << 40;
+  /// Declare livelock when no operation completes for this long.
+  double watchdog_sec = 30.0;
 
   // ---- scheduler & memory locality (see DESIGN.md) ----
   /// Pin worker thread `tid` to the cpu the topology maps it to
@@ -94,13 +99,25 @@ struct RefinerOptions {
   /// (support/arena_pool.hpp) so repeated runs in one process skip the
   /// page-fault warm-up. Results are identical either way.
   bool warm_arena = false;
+
+  // ---- diagnostics ----
+  bool record_timeline = false;  ///< sample Figure-6 style series
+  double timeline_period_sec = 0.05;
+  /// Run a full invariant audit (check/auditor.hpp) on the final mesh after
+  /// the workers join — the refinement-phase boundary, where the mesh is
+  /// quiescent. Violations land in RefineOutcome::audit_errors.
+  bool audit_final = false;
 };
+
+/// The benchmark sources (perfbench/) still spell this name; drop the alias
+/// with their next change.
+using RefinerOptions = MeshingOptions;
 
 struct RefineOutcome {
   bool completed = false;
   bool livelocked = false;
   bool budget_exhausted = false;
-  bool cancelled = false;  ///< RefinerOptions::cancel fired mid-run
+  bool cancelled = false;  ///< MeshingOptions::cancel fired mid-run
   double wall_sec = 0.0;   ///< refinement only (excludes EDT)
   double edt_sec = 0.0;    ///< preprocessing (feature transform)
   StatsTotals totals;
@@ -132,14 +149,14 @@ struct RefineOutcome {
 
 class Refiner {
  public:
-  Refiner(const LabeledImage3D& img, RefinerOptions opt);
+  Refiner(const LabeledImage3D& img, MeshingOptions opt);
 
   /// Serving-path constructor: re-uses a precomputed oracle (EDT cache hit)
   /// instead of computing the feature transform. `warm_oracle` must have
   /// been built over an image identical in content to `img` (it is queried,
   /// never mutated, so one oracle may serve concurrent refiners).
   /// RefineOutcome::edt_sec reports 0 for such runs.
-  Refiner(const LabeledImage3D& img, RefinerOptions opt,
+  Refiner(const LabeledImage3D& img, MeshingOptions opt,
           std::shared_ptr<const IsosurfaceOracle> warm_oracle);
 
   /// Runs refinement to completion (or livelock/budget abort). Callable
@@ -154,7 +171,7 @@ class Refiner {
   [[nodiscard]] std::shared_ptr<const IsosurfaceOracle> shared_oracle() const {
     return oracle_;
   }
-  [[nodiscard]] const RefinerOptions& options() const { return opt_; }
+  [[nodiscard]] const MeshingOptions& options() const { return opt_; }
   /// The hybrid interior fill this run refined against; null for pure
   /// Delaunay runs (or an empty band). Extraction stitches against it.
   [[nodiscard]] const lattice::LatticeFill* lattice() const {
@@ -214,7 +231,10 @@ class Refiner {
   void wake_all_workers();
   void monitor();
 
-  RefinerOptions opt_;
+  MeshingOptions opt_;
+  /// The rule thresholds from opt_, plus the lattice guard once refine()
+  /// has built the fill.
+  RefineRulesConfig rules_;
   const LabeledImage3D* img_;
   /// Shared so the serving layer's EDT cache can hand one immutable oracle
   /// to many concurrent refiners; solo runs own theirs exclusively.

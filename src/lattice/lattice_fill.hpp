@@ -39,7 +39,7 @@
 
 namespace pi2m {
 
-/// Interior meshing strategy (MeshingOptions/RefinerOptions `interior`).
+/// Interior meshing strategy (MeshingOptions::interior).
 enum class InteriorFill : std::uint8_t {
   Delaunay,  ///< pure Delaunay refinement everywhere (pre-hybrid behaviour)
   Lattice,   ///< BCC template bulk + Delaunay skin (default)

@@ -29,6 +29,21 @@ std::string number_text(double v) {
   return {buf, std::to_chars(buf, buf + sizeof buf, v).ptr};
 }
 
+/// "" or why `v` is refused by the range [lo, hi] (lo excluded when
+/// `lo_open`) or, for an integer field, for having a fraction.
+std::string range_error(double v, double lo, double hi, bool lo_open,
+                        bool integer) {
+  if (integer && v != std::trunc(v)) {
+    return number_text(v) + " is not an integer";
+  }
+  if (!std::isfinite(v) || v < lo || v > hi || (lo_open && v == lo)) {
+    return number_text(v) + " is out of range " + (lo_open ? "(" : "[") +
+           number_text(lo) + ", " + number_text(hi) +
+           (std::isinf(hi) ? ")" : "]");
+  }
+  return "";
+}
+
 /// A text field over one of MeshingOptions' enums and its name/parse pair.
 template <auto Member, auto Name, auto Parse>
 constexpr TextField enum_field() {
@@ -229,16 +244,10 @@ std::string set_option(const JobOption& o, const telemetry::ConfigValue& value,
             if constexpr (std::is_same_v<T, int> || std::is_same_v<T, double>) {
               const double* num = std::get_if<double>(&value);
               if (num == nullptr) return "want a number";
-              if (std::is_same_v<T, int> && *num != std::trunc(*num)) {
-                return number_text(*num) + " is not an integer";
-              }
-              if (!std::isfinite(*num) || *num < o.lo || *num > o.hi ||
-                  (o.lo_open && *num == o.lo)) {
-                return number_text(*num) + " is out of range " +
-                       (o.lo_open ? "(" : "[") + number_text(o.lo) + ", " +
-                       number_text(o.hi) + (std::isinf(o.hi) ? ")" : "]");
-              }
-              field = static_cast<T>(*num);
+              std::string why = range_error(*num, o.lo, o.hi, o.lo_open,
+                                            std::is_same_v<T, int>);
+              if (why.empty()) field = static_cast<T>(*num);
+              return why;
             } else {
               const T* v = std::get_if<T>(&value);
               if (v == nullptr) {
@@ -251,6 +260,14 @@ std::string set_option(const JobOption& o, const telemetry::ConfigValue& value,
           },
       },
       o.field);
+}
+
+std::string parse_number(std::string_view text, double lo, double hi,
+                         bool integer, double& out) {
+  if (!parse_whole(text, out)) {
+    return "'" + std::string(text) + "' is not a number";
+  }
+  return range_error(out, lo, hi, false, integer);
 }
 
 bool same_option_value(const JobOption& o, const JobSpec& a,

@@ -78,6 +78,12 @@ telemetry::ConfigValue option_value(const JobOption& o, const JobSpec& spec);
 std::string set_option(const JobOption& o, const telemetry::ConfigValue& value,
                        JobSpec& spec);
 
+/// The rows' number parse, for flags outside the table: the whole of
+/// `text` must be a number in [lo, hi], and an integer when `integer`.
+/// Stores it in `out`; returns "" or why it was refused.
+std::string parse_number(std::string_view text, double lo, double hi,
+                         bool integer, double& out);
+
 bool same_option_value(const JobOption& o, const JobSpec& a,
                        const JobSpec& b);
 

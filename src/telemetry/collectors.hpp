@@ -5,7 +5,7 @@
 // binaries, tests) already links the libraries whose structs it collects.
 //
 // Naming convention: "<area>.<metric>", lowercase, stable across PRs — the
-// manifest consumers (BENCH_*.json trajectory, tools/trace_summary.py)
+// manifest's readers (tools/trace_summary.py, the CI manifest checks)
 // treat these names as schema.
 #pragma once
 

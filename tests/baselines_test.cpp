@@ -47,9 +47,9 @@ TEST(SeqMesher, ComparableSizeToPi2m) {
   // The stand-in must produce meshes in the same size class as PI2M for
   // the same delta, otherwise Table 6's "similar size" protocol is broken.
   const LabeledImage3D img = phantom::ball(24, 0.7);
-  RefinerOptions popt;
+  MeshingOptions popt;
   popt.threads = 1;
-  popt.rules.delta = 2.5;
+  popt.delta = 2.5;
   Refiner refiner(img, popt);
   const RefineOutcome out = refiner.refine();
   ASSERT_TRUE(out.completed);
@@ -65,9 +65,9 @@ TEST(SeqMesher, ComparableSizeToPi2m) {
 TEST(PlcMesher, FillsVolumeFromRecoveredSurface) {
   // Paper protocol: hand the PLC mesher the isosurface recovered by PI2M.
   const LabeledImage3D img = phantom::ball(24, 0.7);
-  RefinerOptions popt;
+  MeshingOptions popt;
   popt.threads = 1;
-  popt.rules.delta = 2.5;
+  popt.delta = 2.5;
   Refiner refiner(img, popt);
   ASSERT_TRUE(refiner.refine().completed);
   const TetMesh surface = extract_mesh(refiner.mesh(), refiner.oracle(), 1);

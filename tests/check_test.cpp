@@ -508,9 +508,9 @@ TEST(Auditor, DetectsDeadVertexReference) {
 
 TEST(RefinerCheck, FinalAuditCleanOnPhantom) {
   const LabeledImage3D img = phantom::ball(16, 0.7);
-  RefinerOptions opt;
+  MeshingOptions opt;
   opt.threads = 2;
-  opt.rules.delta = 3.0;
+  opt.delta = 3.0;
   opt.max_vertices = std::size_t{1} << 20;
   opt.max_cells = std::size_t{1} << 22;
   opt.watchdog_sec = 60.0;

@@ -74,8 +74,9 @@ TEST(KernelDeath, ArenaCapacityAborts) {
 
 TEST(OptionsDeath, MissingDeltaAborts) {
   ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  const LabeledImage3D img(4, 4, 4);
   MeshingOptions opt;  // delta left at 0
-  EXPECT_DEATH((void)to_refiner_options(opt), "delta");
+  EXPECT_DEATH({ Refiner refiner(img, opt); }, "delta");
 }
 
 // --- insertion on exact degeneracies ----------------------------------------
@@ -109,8 +110,8 @@ TEST(InsertEdge, BoxCornersAreDuplicates) {
 
 TEST(RefinerEdge, EmptyImageProducesEmptyMesh) {
   LabeledImage3D img(12, 12, 12);  // all background
-  RefinerOptions opt;
-  opt.rules.delta = 2.0;
+  MeshingOptions opt;
+  opt.delta = 2.0;
   Refiner refiner(img, opt);
   const RefineOutcome out = refiner.refine();
   EXPECT_TRUE(out.completed);
@@ -155,9 +156,9 @@ TEST(RefinerEdge, MoreThreadsThanWork) {
   LabeledImage3D img(10, 10, 10);
   img.at({5, 5, 5}) = 1;
   img.at({5, 5, 6}) = 1;
-  RefinerOptions opt;
+  MeshingOptions opt;
   opt.threads = 12;  // massively more threads than elements to refine
-  opt.rules.delta = 1.0;
+  opt.delta = 1.0;
   Refiner refiner(img, opt);
   const RefineOutcome out = refiner.refine();
   EXPECT_TRUE(out.completed);  // termination protocol must not hang

@@ -79,9 +79,9 @@ TEST(Integration, FullPipelineKneePhantom) {
 
 TEST(Integration, ExtractionConsistency) {
   const LabeledImage3D img = phantom::concentric_shells(24);
-  RefinerOptions opt;
+  MeshingOptions opt;
   opt.threads = 2;
-  opt.rules.delta = 2.0;
+  opt.delta = 2.0;
   Refiner refiner(img, opt);
   ASSERT_TRUE(refiner.refine().completed);
   const TetMesh tm = extract_mesh(refiner.mesh(), refiner.oracle(), 2);
@@ -127,9 +127,9 @@ TEST(Integration, ExtractionConsistency) {
 
 TEST(Integration, OpBudgetAbortsCleanly) {
   const LabeledImage3D img = phantom::ball(24, 0.7);
-  RefinerOptions opt;
+  MeshingOptions opt;
   opt.threads = 2;
-  opt.rules.delta = 1.0;
+  opt.delta = 1.0;
   opt.op_budget = 50;  // far too small to finish
   Refiner refiner(img, opt);
   const RefineOutcome out = refiner.refine();
@@ -142,9 +142,9 @@ TEST(Integration, OpBudgetAbortsCleanly) {
 
 TEST(Integration, TimelineRecordsMonotonicSamples) {
   const LabeledImage3D img = phantom::ball(28, 0.7);
-  RefinerOptions opt;
+  MeshingOptions opt;
   opt.threads = 4;
-  opt.rules.delta = 1.2;
+  opt.delta = 1.2;
   opt.record_timeline = true;
   opt.timeline_period_sec = 0.005;
   Refiner refiner(img, opt);

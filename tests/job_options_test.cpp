@@ -266,4 +266,19 @@ TEST(JobOptions, BadCommandLineValuesAreRefused) {
             "");
 }
 
+// The number parse pi2m_serve's own flags use: whole string, integer,
+// closed range.
+TEST(JobOptions, ParseNumberIsWholeStringAndRangeChecked) {
+  double v = 0;
+  EXPECT_EQ(parse_number("256", 1, kMaxJobThreads, true, v), "");
+  EXPECT_EQ(v, 256);
+  EXPECT_EQ(parse_number("1", 1, kMaxJobThreads, true, v), "");
+  for (const char* bad : {"2x", "", " 3", "abc", "257", "0", "-1", "1.5",
+                          "nan", "inf"}) {
+    EXPECT_NE(parse_number(bad, 1, kMaxJobThreads, true, v), "") << bad;
+  }
+  EXPECT_EQ(parse_number("1.5", 0, 2, false, v), "");
+  EXPECT_EQ(v, 1.5);
+}
+
 }  // namespace

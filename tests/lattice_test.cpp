@@ -3,14 +3,15 @@
 // band (no template vertex within 2δ of ∂O), the stitched mesh's
 // watertightness/validation, Hausdorff parity with the pure-Delaunay mode,
 // the byte-identical degradation when no deep-interior band exists, the
-// interface seeding at 1/2/4 threads, and a multi-threaded hybrid run under
-// the exact-arithmetic auditor (run under TSan/ASan via the `sanitize`
-// label).
+// interface seeding at 1/2/4 threads, a multi-threaded hybrid run under
+// the exact-arithmetic auditor, and the reuse of a hybrid run's options
+// (run under TSan/ASan via the `sanitize` label).
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <array>
 #include <cstring>
+#include <memory>
 #include <set>
 
 #include "check/auditor.hpp"
@@ -88,9 +89,9 @@ TEST(LatticeFill, TemplatesArePositiveDisphenoidsInsideTheBand) {
 }
 
 TEST(LatticeFill, HybridMeshIsWatertightAndAuditClean) {
-  RefinerOptions opt;
+  MeshingOptions opt;
   opt.threads = 4;
-  opt.rules.delta = kDelta;
+  opt.delta = kDelta;
   opt.audit_final = true;
   Refiner refiner(volume_phantom(), opt);
   const RefineOutcome out = refiner.refine();
@@ -300,6 +301,36 @@ TEST(LatticeFill, EmptyBandDegradesToByteIdenticalDelaunay) {
   EXPECT_EQ(a.mesh.tet_labels, b.mesh.tet_labels);
   EXPECT_EQ(a.mesh.boundary_tris, b.mesh.boundary_tris);
   EXPECT_EQ(a.mesh.point_kinds, b.mesh.point_kinds);
+}
+
+// Refiner::options() hands back the options the refiner was given. A hybrid
+// run must not leave its own lattice guard in them: a second refiner built
+// from them in Delaunay mode would classify against the first one's guard
+// zone (a wrong mesh), or read its freed fill once the first is destroyed.
+TEST(LatticeFill, OptionsOfAHybridRunReuseCleanly) {
+  const auto hash_of = [](const Refiner& r) {
+    return check::snapshot_hash(check::snapshot_mesh(r.mesh()));
+  };
+  MeshingOptions opt;
+  opt.delta = kDelta;
+  opt.threads = 1;
+  opt.interior = InteriorFill::Delaunay;
+  Refiner fresh(volume_phantom(), opt);
+  ASSERT_TRUE(fresh.refine().completed);
+
+  opt.interior = InteriorFill::Lattice;
+  for (const bool destroy_a : {false, true}) {
+    auto a = std::make_unique<Refiner>(volume_phantom(), opt);
+    ASSERT_TRUE(a->refine().completed);
+    ASSERT_NE(a->lattice(), nullptr);
+    MeshingOptions reused = a->options();
+    reused.interior = InteriorFill::Delaunay;
+    Refiner b(volume_phantom(), reused);
+    if (destroy_a) a.reset();
+    ASSERT_TRUE(b.refine().completed);
+    EXPECT_EQ(b.lattice(), nullptr);
+    EXPECT_EQ(hash_of(b), hash_of(fresh)) << "destroy_a=" << destroy_a;
+  }
 }
 
 TEST(LatticeFill, MultiMaterialCoreFillsWithoutBreakingInterfaces) {

@@ -67,9 +67,9 @@ TEST(PointTriangle, Distances) {
 
 TEST(Hausdorff, RefinedBallIsFaithful) {
   const LabeledImage3D img = phantom::ball(24, 0.7);
-  RefinerOptions opt;
+  MeshingOptions opt;
   opt.threads = 1;
-  opt.rules.delta = 2.5;
+  opt.delta = 2.5;
   Refiner refiner(img, opt);
   ASSERT_TRUE(refiner.refine().completed);
   const TetMesh tm = extract_mesh(refiner.mesh(), refiner.oracle(), 1);
@@ -85,9 +85,9 @@ TEST(Hausdorff, RefinedBallIsFaithful) {
 TEST(Hausdorff, ShrinksWithDelta) {
   const LabeledImage3D img = phantom::ball(32, 0.7);
   auto run = [&](double delta) {
-    RefinerOptions opt;
+    MeshingOptions opt;
     opt.threads = 1;
-    opt.rules.delta = delta;
+    opt.delta = delta;
     Refiner refiner(img, opt);
     EXPECT_TRUE(refiner.refine().completed);
     const TetMesh tm = extract_mesh(refiner.mesh(), refiner.oracle(), 1);

@@ -11,10 +11,10 @@
 namespace pi2m {
 namespace {
 
-RefinerOptions base_options(double delta, int threads) {
-  RefinerOptions opt;
+MeshingOptions base_options(double delta, int threads) {
+  MeshingOptions opt;
   opt.threads = threads;
-  opt.rules.delta = delta;
+  opt.delta = delta;
   opt.max_vertices = std::size_t{1} << 20;
   opt.max_cells = std::size_t{1} << 22;
   opt.watchdog_sec = 60.0;
@@ -55,7 +55,7 @@ void check_refined(Refiner& refiner, const RefineOutcome& out) {
     if (!cs.valid || !oracle.inside(cs.center)) return;
     ++elements;
     const double rho = radius_edge_ratio(p[0], p[1], p[2], p[3]);
-    if (rho > refiner.options().rules.rho_bound * 1.05) ++rho_violations;
+    if (rho > refiner.options().radius_edge_bound * 1.05) ++rho_violations;
   });
   EXPECT_EQ(elements, out.mesh_cells);
   EXPECT_LE(rho_violations, elements / 50 + 2)
@@ -137,9 +137,9 @@ TEST(RefinerSeq, DeltaControlsMeshSize) {
 
 TEST(RefinerSeq, SizeFunctionDrivesR5) {
   const LabeledImage3D img = phantom::ball(24, 0.7);
-  RefinerOptions opt = base_options(3.0, 1);
-  RefinerOptions opt_sized = base_options(3.0, 1);
-  opt_sized.rules.size_fn = sizing::uniform(2.0);
+  MeshingOptions opt = base_options(3.0, 1);
+  MeshingOptions opt_sized = base_options(3.0, 1);
+  opt_sized.size_function = sizing::uniform(2.0);
   Refiner plain(img, opt);
   Refiner sized(img, opt_sized);
   const RefineOutcome op = plain.refine();
@@ -152,7 +152,7 @@ TEST(RefinerSeq, SizeFunctionDrivesR5) {
 
 TEST(RefinerSeq, RemovalsHappen) {
   const LabeledImage3D img = phantom::ball(28, 0.7);
-  RefinerOptions opt = base_options(2.0, 1);
+  MeshingOptions opt = base_options(2.0, 1);
   Refiner refiner(img, opt);
   const RefineOutcome out = refiner.refine();
   ASSERT_TRUE(out.completed);
@@ -167,9 +167,9 @@ class RefinerParallel
 TEST_P(RefinerParallel, MatchesSequentialInvariants) {
   const auto [threads, cm, lb] = GetParam();
   const LabeledImage3D img = phantom::concentric_shells(20);
-  RefinerOptions opt = base_options(2.5, threads);
-  opt.cm = cm;
-  opt.lb = lb;
+  MeshingOptions opt = base_options(2.5, threads);
+  opt.contention_manager = cm;
+  opt.load_balancer = lb;
   Refiner refiner(img, opt);
   const RefineOutcome out = refiner.refine();
   check_refined(refiner, out);
@@ -191,7 +191,7 @@ TEST(RefinerParallelSched, PinAndAutoTopologySmoke) {
   // --pin + --topology=auto on whatever host runs the tests: pinning is
   // best-effort and must never affect the result invariants.
   const LabeledImage3D img = phantom::ball(20, 0.7);
-  RefinerOptions opt = base_options(2.5, 2);
+  MeshingOptions opt = base_options(2.5, 2);
   opt.pin = true;
   opt.topology_auto = true;
   opt.park_spin_us = 0;  // park immediately: exercises the timed-park path
@@ -202,7 +202,7 @@ TEST(RefinerParallelSched, PinAndAutoTopologySmoke) {
 
 TEST(RefinerParallelLarge, EightThreadsAbdominalPhantom) {
   const LabeledImage3D img = phantom::abdominal(32, 32, 32);
-  RefinerOptions opt = base_options(2.0, 8);
+  MeshingOptions opt = base_options(2.0, 8);
   opt.topology = {2, 2};  // 2 cores/socket, 2 sockets/blade -> 2 blades
   Refiner refiner(img, opt);
   const RefineOutcome out = refiner.refine();

@@ -570,9 +570,9 @@ TEST(ServeMeshJob, WarmArenaSecondRunIsByteIdentical) {
   // (Multi-threaded runs differ run-to-run by scheduling alone, which
   // would mask exactly the leak this test exists to catch.)
   auto run_once = [&](bool warm_arena) {
-    RefinerOptions opt;
+    MeshingOptions opt;
     opt.threads = 1;
-    opt.rules.delta = 1.2;
+    opt.delta = 1.2;
     opt.rng_seed = 7;
     opt.warm_arena = warm_arena;
     Refiner r(img, opt);
@@ -588,9 +588,9 @@ TEST(ServeMeshJob, WarmArenaSecondRunIsByteIdentical) {
 
   // The parallel path reuses blocks too; it cannot be byte-compared (the
   // speculative interleaving is nondeterministic) but must stay sound.
-  RefinerOptions popt;
+  MeshingOptions popt;
   popt.threads = 2;
-  popt.rules.delta = 1.2;
+  popt.delta = 1.2;
   popt.warm_arena = true;
   Refiner pr(img, popt);
   EXPECT_TRUE(pr.refine().completed);

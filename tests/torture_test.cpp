@@ -103,11 +103,11 @@ TEST(Torture, RefinerSixteenThreadsEveryConfig) {
   const LabeledImage3D img = phantom::abdominal(36, 36, 36);
   for (const CmKind cm :
        {CmKind::Random, CmKind::Global, CmKind::Local}) {
-    RefinerOptions opt;
+    MeshingOptions opt;
     opt.threads = 16;
     opt.topology = {2, 2};
-    opt.rules.delta = 1.4;
-    opt.cm = cm;
+    opt.delta = 1.4;
+    opt.contention_manager = cm;
     opt.watchdog_sec = 60.0;
     Refiner refiner(img, opt);
     const RefineOutcome out = refiner.refine();
@@ -132,9 +132,9 @@ TEST(Torture, RepeatedRefinementsAreConsistent) {
   const LabeledImage3D img = phantom::concentric_shells(28);
   std::vector<std::size_t> counts;
   for (const int threads : {1, 4, 16}) {
-    RefinerOptions opt;
+    MeshingOptions opt;
     opt.threads = threads;
-    opt.rules.delta = 1.6;
+    opt.delta = 1.6;
     Refiner refiner(img, opt);
     const RefineOutcome out = refiner.refine();
     ASSERT_TRUE(out.completed);
