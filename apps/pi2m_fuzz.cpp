@@ -196,7 +196,6 @@ void run_kernel_case(const Aabb& box, const std::vector<Vec3>& pts,
     for (const std::string& e : rep.errors) res.fail("audit: " + e);
   }
 
-#if PI2M_OPLOG_ENABLED
   const check::MeshSnapshot concurrent = check::snapshot_mesh(mesh);
   check::ReplayOptions ropt;
   ropt.audit_every = 512;
@@ -208,7 +207,6 @@ void run_kernel_case(const Aabb& box, const std::vector<Vec3>& pts,
              std::to_string(rr.hash) + " vs " +
              std::to_string(check::snapshot_hash(concurrent)) + ")");
   }
-#endif
 }
 
 // ---------------------------------------------------------------------------
@@ -281,10 +279,9 @@ void run_refiner_case(const LabeledImage3D& img, int threads, CmKind cm,
     res.fail(out.livelocked ? "refine livelocked" : "refine aborted (budget)");
   }
   for (const std::string& e : out.audit_errors) res.fail("audit: " + e);
-  if (concurrent_out) *concurrent_out = check::snapshot_mesh(refiner.mesh());
 
-#if PI2M_OPLOG_ENABLED
   const check::MeshSnapshot concurrent = check::snapshot_mesh(refiner.mesh());
+  if (concurrent_out) *concurrent_out = concurrent;
   check::ReplayOptions ropt;
   ropt.audit_every = 2048;
   const check::ReplayResult rr =
@@ -296,7 +293,6 @@ void run_refiner_case(const LabeledImage3D& img, int threads, CmKind cm,
              std::to_string(rr.hash) + " vs " +
              std::to_string(check::snapshot_hash(concurrent)) + ")");
   }
-#endif
 }
 
 // ---------------------------------------------------------------------------
@@ -527,11 +523,6 @@ int main(int argc, char** argv) {
   }
 
   if (!replay_dir.empty()) return replay_bundle(replay_dir);
-
-#if !PI2M_OPLOG_ENABLED
-  std::printf("note: built with PI2M_OPLOG=OFF — replay comparison disabled, "
-              "running audits only\n");
-#endif
 
   if (single) {
     return run_case(seed, out_dir).ok ? 0 : 1;

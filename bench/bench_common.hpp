@@ -8,6 +8,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <string>
+#include <utility>
 
 #include "core/refiner.hpp"
 #include "imaging/phantom.hpp"
@@ -16,11 +17,8 @@
 namespace pi2m::bench {
 
 inline LabeledImage3D make_phantom(const std::string& name, int n) {
-  if (name == "ball") return phantom::ball(n, 0.7);
-  if (name == "shells") return phantom::concentric_shells(n);
-  if (name == "abdominal") return phantom::abdominal(n, n, n);
-  if (name == "knee") return phantom::knee(n, n, n);
-  if (name == "head_neck") return phantom::head_neck(n, n, n);
+  auto img = phantom::by_name(name, n);
+  if (img) return std::move(*img);
   std::fprintf(stderr, "unknown phantom '%s'\n", name.c_str());
   std::exit(2);
 }

@@ -8,8 +8,6 @@
 
 namespace pi2m::check {
 
-#if PI2M_OPLOG_ENABLED
-
 namespace detail {
 
 std::atomic<bool> g_recording{false};
@@ -97,15 +95,6 @@ std::size_t record_count() {
   for (const auto& b : detail::g_buffers) total += b->records.size();
   return total;
 }
-
-#else  // !PI2M_OPLOG_ENABLED
-
-void begin() {}
-void end() {}
-std::vector<OpRecord> snapshot() { return {}; }
-std::size_t record_count() { return 0; }
-
-#endif  // PI2M_OPLOG_ENABLED
 
 namespace {
 

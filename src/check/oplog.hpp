@@ -16,12 +16,8 @@
 // triangulation (up to cell/vertex ids — compared via the canonical
 // snapshot in check/snapshot.hpp).
 //
-// Gating mirrors telemetry:
-//  * Compile time: -DPI2M_OPLOG=OFF (PI2M_OPLOG_ENABLED=0) turns the commit
-//    hook into an empty inline; the session/save/load API stays available
-//    and produces empty logs.
-//  * Run time: with no active recording session the hook is one relaxed
-//    atomic load and a predictable branch.
+// Gating mirrors telemetry: with no active recording session the hook is
+// one relaxed atomic load and a predictable branch.
 //
 // Threading contract: begin()/end() must not race with commits (call from
 // the orchestrating thread before spawning / after joining workers).
@@ -38,10 +34,6 @@
 #include <vector>
 
 #include "geometry/vec3.hpp"
-
-#ifndef PI2M_OPLOG_ENABLED
-#define PI2M_OPLOG_ENABLED 1
-#endif
 
 namespace pi2m::check {
 
@@ -61,7 +53,7 @@ struct OpRecord {
   std::uint8_t rule = 0;     ///< refinement rule (0 = none/direct kernel)
 };
 
-// --- session control (available in both build modes) ----------------------
+// --- session control --------------------------------------------------------
 
 /// Opens a recording session: clears all buffers, resets the sequence
 /// counter and enables the commit hook.
@@ -84,8 +76,6 @@ std::optional<std::vector<OpRecord>> load_oplog(const std::string& path,
                                                 std::string* error = nullptr);
 
 // --- hot-path hooks --------------------------------------------------------
-
-#if PI2M_OPLOG_ENABLED
 
 namespace detail {
 extern std::atomic<bool> g_recording;
@@ -112,14 +102,5 @@ inline void record_commit(OpKind op, const Vec3& p, std::uint8_t kind,
 inline void set_current_rule(std::uint8_t rule) {
   if (active()) detail::current_rule_slot() = rule;
 }
-
-#else  // !PI2M_OPLOG_ENABLED — compiled-out hooks
-
-inline bool active() { return false; }
-inline void record_commit(OpKind, const Vec3&, std::uint8_t, std::uint32_t,
-                          int) {}
-inline void set_current_rule(std::uint8_t) {}
-
-#endif  // PI2M_OPLOG_ENABLED
 
 }  // namespace pi2m::check

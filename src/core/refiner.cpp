@@ -5,7 +5,6 @@
 #include "check/auditor.hpp"
 #include "check/oplog.hpp"
 #include "geometry/tetra.hpp"
-#include "runtime/affinity.hpp"
 #include "support/parallel_for.hpp"
 #include "telemetry/telemetry.hpp"
 
@@ -26,13 +25,9 @@ constexpr std::uint32_t kArenaBlock = 256;
 /// termination/done checks, so they must stay short.
 constexpr std::uint64_t kParkTimeoutUs = 1000;
 
-Topology make_topology(const MeshingOptions& opt) {
-  const int n = std::max(1, opt.threads);
-  if (opt.topology_auto) {
-    return Topology::from_probe(n, probe_host_topology());
-  }
-  return Topology(n, opt.topology);
-}
+/// An idle thread spins/yields this long before each timed park: work
+/// usually arrives within a few operations' latency.
+constexpr double kParkSpinUs = 50;
 
 }  // namespace
 
@@ -45,7 +40,7 @@ Refiner::Refiner(const LabeledImage3D& img, MeshingOptions opt,
       rules_{opt.delta, opt.radius_edge_bound, opt.min_planar_angle_deg,
              opt.size_function, opt.removal_factor, nullptr},
       img_(&img),
-      topo_(make_topology(opt)),
+      topo_(std::max(1, opt.threads), opt.topology),
       stats_(static_cast<std::size_t>(std::max(1, opt.threads))) {
   opt_.threads = std::max(1, opt_.threads);
   PI2M_CHECK(opt_.delta > 0.0, "MeshingOptions::delta must be positive");
@@ -355,11 +350,11 @@ void Refiner::idle_protocol(int tid) {
   idle_count_.fetch_add(1, std::memory_order_acq_rel);
   lb_->enqueue_beggar(tid);
   std::atomic<bool>& flag = lb_->work_flag(tid);
-  // Adaptive idle policy: spin/yield for park_spin_us (work usually arrives
-  // within a few operations' latency), then fall back to timed parks. The
-  // park timeout bounds how stale the checks below can get even if an
-  // unpark is missed, so liveness never depends on the wake-up path alone.
-  const double spin_deadline = t0 + 1e-6 * opt_.park_spin_us;
+  // Adaptive idle policy: spin/yield for kParkSpinUs, then fall back to
+  // timed parks. The park timeout bounds how stale the checks below can get
+  // even if an unpark is missed, so liveness never depends on the wake-up
+  // path alone.
+  const double spin_deadline = t0 + 1e-6 * kParkSpinUs;
   while (true) {
     if (flag.load(std::memory_order_acquire)) break;
     if (done_.load(std::memory_order_acquire)) break;
@@ -402,11 +397,6 @@ void Refiner::idle_protocol(int tid) {
 
 void Refiner::worker(int tid) {
   telemetry::set_thread_name("worker " + std::to_string(tid));
-  if (opt_.pin) {
-    // Best-effort: contiguous tid blocks land on the same package when the
-    // topology was host-probed (identity map otherwise).
-    pin_current_thread_to_cpu(topo_.cpu_of(tid));
-  }
   ThreadCtx& ctx = *ctxs_[tid];
   while (!done_.load(std::memory_order_acquire)) {
     if (successful_ops_.load(std::memory_order_relaxed) >= opt_.op_budget) {

@@ -77,18 +77,6 @@ struct MeshingOptions {
   /// Declare livelock when no operation completes for this long.
   double watchdog_sec = 30.0;
 
-  // ---- scheduler & memory locality (see DESIGN.md) ----
-  /// Pin worker thread `tid` to the cpu the topology maps it to
-  /// (sched_setaffinity on Linux; a no-op elsewhere). A failed pin is
-  /// silently ignored — it is a locality hint, not a correctness knob.
-  bool pin = false;
-  /// Probe /sys/devices/system/cpu for the real socket layout instead of
-  /// using the declared `topology` spec; also yields the cpu map --pin uses.
-  bool topology_auto = false;
-  /// An idle thread spins/yields this long before each timed park. 0 parks
-  /// immediately; larger values trade wake-up latency for cpu.
-  int park_spin_us = 50;
-
   // ---- serving hooks (see DESIGN.md "Serving architecture") ----
   /// Cooperative cancellation: when non-null and set, every worker stops at
   /// its next refinement-loop boundary and refine() returns with

@@ -3,6 +3,7 @@
 #include <cmath>
 #include <functional>
 #include <random>
+#include <utility>
 
 namespace pi2m::phantom {
 namespace {
@@ -228,6 +229,24 @@ LabeledImage3D random_blobs(int n, unsigned seed, int num_blobs,
   const Voxel mid{n / 2, n / 2, n / 2};
   if (img.labels_present().empty()) img.at(mid) = 1;
   return img;
+}
+
+std::optional<LabeledImage3D> by_name(std::string_view name, int n) {
+  using Make = LabeledImage3D (*)(int);
+  static constexpr std::pair<std::string_view, Make> kNamed[] = {
+      {"ball", [](int m) { return ball(m); }},
+      {"shells", concentric_shells},
+      {"abdominal", [](int m) { return abdominal(m, m, m); }},
+      {"knee", [](int m) { return knee(m, m, m); }},
+      {"head_neck", [](int m) { return head_neck(m, m, m); }},
+      {"vessels", [](int m) { return vessels(m); }},
+      {"ellipsoid", ellipsoid},
+      {"thick_shell", thick_shell},
+  };
+  for (const auto& [key, make] : kNamed) {
+    if (key == name) return make(n);
+  }
+  return std::nullopt;
 }
 
 }  // namespace pi2m::phantom

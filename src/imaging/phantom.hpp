@@ -10,6 +10,8 @@
 #pragma once
 
 #include <functional>
+#include <optional>
+#include <string_view>
 
 #include "imaging/image3d.hpp"
 
@@ -68,5 +70,9 @@ LabeledImage3D random_blobs(int n, unsigned seed, int num_blobs = 4,
 /// curved, high-curvature structures of the paper's blood-flow-simulation
 /// motivation (§1) — the hardest case for isosurface recovery.
 LabeledImage3D vessels(int n, int levels = 3);
+
+/// The phantom a job names, on an n^3 grid: ball, shells, abdominal, knee,
+/// head_neck, vessels, ellipsoid or thick_shell. nullopt for any other name.
+std::optional<LabeledImage3D> by_name(std::string_view name, int n);
 
 }  // namespace pi2m::phantom

@@ -55,24 +55,24 @@ constexpr TextField enum_field() {
           [](const JobSpec& s) -> std::string { return Name(s.mesh.*Member); }};
 }
 
-/// "auto", or "CxS": C cores per socket, S sockets per blade.
+/// "CxS": C cores per socket, S sockets per blade, each in
+/// [1, kMaxJobThreads].
 bool parse_topology(std::string_view v, JobSpec& s) {
   TopologySpec t;
   const std::size_t x = v.find('x');
-  const bool cxs = x != std::string_view::npos &&
-                   parse_whole(v.substr(0, x), t.cores_per_socket) &&
-                   parse_whole(v.substr(x + 1), t.sockets_per_blade) &&
-                   t.cores_per_socket >= 1 && t.sockets_per_blade >= 1;
-  if (cxs) s.mesh.topology = t;
-  if (cxs || v == "auto") s.mesh.topology_auto = !cxs;
-  return cxs || v == "auto";
+  const auto in_range = [](int n) { return n >= 1 && n <= kMaxJobThreads; };
+  const bool ok = x != std::string_view::npos &&
+                  parse_whole(v.substr(0, x), t.cores_per_socket) &&
+                  parse_whole(v.substr(x + 1), t.sockets_per_blade) &&
+                  in_range(t.cores_per_socket) && in_range(t.sockets_per_blade);
+  if (ok) s.mesh.topology = t;
+  return ok;
 }
 
 std::string format_topology(const JobSpec& s) {
   const TopologySpec& t = s.mesh.topology;
-  return s.mesh.topology_auto ? "auto"
-                              : std::to_string(t.cores_per_socket) + "x" +
-                                    std::to_string(t.sockets_per_blade);
+  return std::to_string(t.cores_per_socket) + "x" +
+         std::to_string(t.sockets_per_blade);
 }
 
 const char* check_output_format(std::string_view path) {
@@ -142,17 +142,11 @@ const JobOption kRows[] = {
      kMeshing, 0, 0, false, true, Echo::Always,
      enum_field<&MeshingOptions::load_balancer, lb_name, parse_lb_name>()},
 
-    {"topology", "--topology", "auto|CxS",
-     "'auto' probes the host's real socket layout\n"
-     "(/sys); 'CxS' declares C cores/socket and S\nsockets/blade",
+    {"topology", "--topology", "CxS",
+     "declare C cores/socket and S sockets/blade\n"
+     "for hierarchical work stealing",
      kScheduler, 0, 0, false, false, Echo::IfSet,
      TextField{parse_topology, format_topology}},
-    {"pin", "--pin", nullptr, "pin worker threads to cpus per the topology",
-     kScheduler, 0, 0, false, false, Echo::IfSet, PI2M_FIELD(mesh.pin)},
-    {"park_spin_us", "--park-spin-us", "N",
-     "idle spin budget before a timed park, us",
-     kScheduler, 0, 1e6, false, false, Echo::Always,
-     PI2M_FIELD(mesh.park_spin_us)},
 
     {"smooth", "--smooth", "N", "quality-guarded smoothing iterations",
      kOutput, 0, 1000, false, true, Echo::Always, PI2M_FIELD(smooth)},

@@ -70,25 +70,9 @@ bool MeshJob::prepare() {
     if (n < 2 || n > 4096) {
       return fail("phantom size out of range: " + std::to_string(n));
     }
-    if (p == "ball") {
-      art_.image = phantom::ball(n);
-    } else if (p == "shells") {
-      art_.image = phantom::concentric_shells(n);
-    } else if (p == "abdominal") {
-      art_.image = phantom::abdominal(n, n, n);
-    } else if (p == "knee") {
-      art_.image = phantom::knee(n, n, n);
-    } else if (p == "head_neck") {
-      art_.image = phantom::head_neck(n, n, n);
-    } else if (p == "vessels") {
-      art_.image = phantom::vessels(n);
-    } else if (p == "ellipsoid") {
-      art_.image = phantom::ellipsoid(n);
-    } else if (p == "thick_shell") {
-      art_.image = phantom::thick_shell(n);
-    } else {
-      return fail("unknown phantom '" + p + "'");
-    }
+    auto image = phantom::by_name(p, n);
+    if (!image) return fail("unknown phantom '" + p + "'");
+    art_.image = std::move(*image);
   } else if (spec_.inline_image != nullptr) {
     art_.image = *spec_.inline_image;
   } else {

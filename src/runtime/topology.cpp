@@ -1,80 +1,24 @@
 #include "runtime/topology.hpp"
 
-#include <algorithm>
-#include <cstdio>
-#include <fstream>
-#include <map>
+#include <limits>
 
 #include "support/common.hpp"
 
 namespace pi2m {
-namespace {
-
-/// Reads a small integer file ("0\n"); -1 on any failure.
-int read_int_file(const std::string& path) {
-  std::ifstream f(path);
-  if (!f) return -1;
-  int v = -1;
-  f >> v;
-  if (!f) return -1;
-  return v;
-}
-
-}  // namespace
-
-HostProbe probe_host_topology(const std::string& sysfs_root) {
-  HostProbe probe;
-  // package id -> cpu ids, discovered by probing cpu0, cpu1, ... until the
-  // first hole (sysfs numbers online cpus contiguously from 0).
-  std::map<int, std::vector<int>> packages;
-  for (int cpu = 0;; ++cpu) {
-    const std::string base =
-        sysfs_root + "/cpu" + std::to_string(cpu) + "/topology/";
-    const int pkg = read_int_file(base + "physical_package_id");
-    if (pkg < 0) break;
-    packages[pkg].push_back(cpu);
-  }
-  if (packages.empty()) {
-    return probe;  // ok=false: caller falls back to the declared spec
-  }
-  std::size_t largest = 0;
-  for (auto& [pkg, cpus] : packages) {
-    std::sort(cpus.begin(), cpus.end());
-    largest = std::max(largest, cpus.size());
-    probe.cpus.insert(probe.cpus.end(), cpus.begin(), cpus.end());
-  }
-  probe.ok = true;
-  probe.spec.cores_per_socket = static_cast<int>(largest);
-  probe.spec.sockets_per_blade = static_cast<int>(packages.size());
-  return probe;
-}
 
 Topology::Topology(int nthreads, TopologySpec spec) : nthreads_(nthreads) {
   PI2M_CHECK(nthreads >= 1, "topology needs at least one thread");
   PI2M_CHECK(spec.cores_per_socket >= 1 && spec.sockets_per_blade >= 1,
              "invalid topology spec");
+  // tpb_ is a divisor, and nthreads + tpb_ - 1 must not wrap either.
+  PI2M_CHECK(spec.cores_per_socket <=
+                 (std::numeric_limits<int>::max() - nthreads) /
+                     spec.sockets_per_blade,
+             "topology spec too large");
   tps_ = spec.cores_per_socket;
   tpb_ = spec.cores_per_socket * spec.sockets_per_blade;
   nsockets_ = (nthreads + tps_ - 1) / tps_;
   nblades_ = (nthreads + tpb_ - 1) / tpb_;
-}
-
-Topology Topology::from_probe(int nthreads, const HostProbe& probe) {
-  Topology topo(nthreads, probe.ok ? probe.spec : TopologySpec{});
-  if (probe.ok) topo.cpus_ = probe.cpus;
-  return topo;
-}
-
-int Topology::cpu_of(int tid) const {
-  if (cpus_.empty()) return tid;  // identity: declared/virtual topology
-  return cpus_[static_cast<std::size_t>(tid) % cpus_.size()];
-}
-
-std::string Topology::describe() const {
-  return std::to_string(nthreads_) + " threads = " +
-         std::to_string(nblades_) + " blade(s) x " +
-         std::to_string(tpb_ / tps_) + " socket(s) x " + std::to_string(tps_) +
-         " core(s)" + (cpus_.empty() ? "" : " [host-probed]");
 }
 
 }  // namespace pi2m

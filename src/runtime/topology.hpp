@@ -2,23 +2,13 @@
 //
 // The paper runs on Blacklight (8 cores/socket, 2 sockets/blade, 128
 // blades). Its Hierarchical Work Stealing (HWS, §6.1) and the same-socket
-// PEL optimizations consult the machine topology. This build targets
-// arbitrary hosts (including the single-core container used for the
-// reproduction), so by default the topology is *declared*, not probed:
+// PEL optimizations consult the machine topology. Here the topology is
+// *declared* (--topology CxS, default Blacklight's 8x2), not probed:
 // threads are assigned to virtual sockets/blades in contiguous blocks,
 // exactly how a pinned Blacklight run lays threads out. All locality
 // counters (intra-socket / intra-blade / inter-blade steals) are defined
 // against this virtual topology. See DESIGN.md "Substitutions".
-//
-// With --topology=auto the spec is instead probed from the host
-// (/sys/devices/system/cpu/*/topology on Linux), which also yields a
-// tid -> cpu map laid out socket-by-socket, so --pin places contiguous
-// thread blocks on real sockets. A failed probe falls back to the declared
-// Blacklight-style spec with an identity cpu map.
 #pragma once
-
-#include <string>
-#include <vector>
 
 namespace pi2m {
 
@@ -27,28 +17,9 @@ struct TopologySpec {
   int sockets_per_blade = 2;  ///< Blacklight default
 };
 
-/// Result of probing the host's real CPU topology.
-struct HostProbe {
-  bool ok = false;      ///< false => spec/cpus hold the fallback values
-  TopologySpec spec{};  ///< probed (or fallback Blacklight-style) layout
-  /// Online cpu ids ordered socket-by-socket: assigning tid i to cpus[i %
-  /// cpus.size()] puts contiguous tid blocks on the same physical package.
-  std::vector<int> cpus;
-};
-
-/// Parses /sys/devices/system/cpu/cpu*/topology (or a test double rooted at
-/// `sysfs_root`). One "blade" maps to the whole host: sockets_per_blade =
-/// number of physical packages, cores_per_socket = hardware threads of the
-/// largest package.
-HostProbe probe_host_topology(
-    const std::string& sysfs_root = "/sys/devices/system/cpu");
-
 class Topology {
  public:
   Topology(int nthreads, TopologySpec spec = {});
-  /// Topology from a host probe: uses the probed spec and keeps the cpu map
-  /// for pinning. A failed probe degrades to the declared-spec behaviour.
-  static Topology from_probe(int nthreads, const HostProbe& probe);
 
   [[nodiscard]] int threads() const { return nthreads_; }
   [[nodiscard]] int threads_per_socket() const { return tps_; }
@@ -63,12 +34,6 @@ class Topology {
   [[nodiscard]] bool same_blade(int a, int b) const {
     return blade_of(a) == blade_of(b);
   }
-  /// Host cpu to pin thread `tid` to (probed map when available, identity
-  /// otherwise; oversubscribed tids wrap).
-  [[nodiscard]] int cpu_of(int tid) const;
-  /// True when cpu_of comes from a successful host probe.
-  [[nodiscard]] bool host_probed() const { return !cpus_.empty(); }
-  [[nodiscard]] std::string describe() const;
 
  private:
   int nthreads_;
@@ -76,7 +41,6 @@ class Topology {
   int tpb_;
   int nsockets_;
   int nblades_;
-  std::vector<int> cpus_;  ///< empty for declared topologies
 };
 
 }  // namespace pi2m

@@ -9,8 +9,6 @@
 
 namespace pi2m::telemetry {
 
-#if PI2M_TELEMETRY_ENABLED
-
 namespace detail {
 std::atomic<bool> g_enabled{false};
 }  // namespace detail
@@ -307,36 +305,6 @@ std::string chrome_trace_json() {
   w.end_object();
   return w.str();
 }
-
-#else  // !PI2M_TELEMETRY_ENABLED — inert session API, empty exports
-
-namespace {
-bool g_active = false;
-}
-
-void begin(std::size_t) { g_active = true; }
-void end() { g_active = false; }
-bool active() { return g_active; }
-void set_thread_name(const std::string&) {}
-std::vector<TraceEventView> snapshot() { return {}; }
-std::uint64_t dropped_events() { return 0; }
-std::size_t event_count() { return 0; }
-
-std::string chrome_trace_json() {
-  JsonWriter w;
-  w.begin_object();
-  w.key("traceEvents").begin_array().end_array();
-  w.key("otherData")
-      .begin_object()
-      .kv("schema", "pi2m-trace/1")
-      .kv("dropped_events", std::uint64_t{0})
-      .kv("note", "built with PI2M_TELEMETRY=OFF")
-      .end_object();
-  w.end_object();
-  return w.str();
-}
-
-#endif  // PI2M_TELEMETRY_ENABLED
 
 bool write_chrome_trace(const std::string& path) {
   std::FILE* f = std::fopen(path.c_str(), "wb");

@@ -16,14 +16,9 @@
 //    access, chrome_trace_json()/write_chrome_trace() for the
 //    chrome://tracing / Perfetto "traceEvents" format.
 //
-// Gating
-//  * Compile time: building with PI2M_TELEMETRY_ENABLED=0 (CMake option
-//    -DPI2M_TELEMETRY=OFF) turns Span/instant/set_thread_name into empty
-//    inlines; the session/export API stays link-compatible and produces an
-//    empty trace.
-//  * Run time: with no active session, emission is one relaxed atomic load
-//    and a predictable branch — cheap enough to leave the probes compiled
-//    into the hot paths (the ≤2% overhead budget in DESIGN.md).
+// Gating: with no active session, emission is one relaxed atomic load and
+// a predictable branch — cheap enough to leave the probes compiled into the
+// hot paths (the ≤2% overhead budget in DESIGN.md).
 //
 // Threading contract: begin()/end() must not race with emission (in
 // practice: call them from the orchestrating thread before spawning /
@@ -38,13 +33,9 @@
 #include <string>
 #include <vector>
 
-#ifndef PI2M_TELEMETRY_ENABLED
-#define PI2M_TELEMETRY_ENABLED 1
-#endif
-
 namespace pi2m::telemetry {
 
-// --- session control & export (available in both build modes) -------------
+// --- session control & export ----------------------------------------------
 
 /// Opens a tracing session. Each emitting thread gets a ring of
 /// `events_per_thread` slots (~56 B each). Re-opening a session resets all
@@ -88,8 +79,6 @@ std::string chrome_trace_json();
 bool write_chrome_trace(const std::string& path);
 
 // --- emission -------------------------------------------------------------
-
-#if PI2M_TELEMETRY_ENABLED
 
 namespace detail {
 extern std::atomic<bool> g_enabled;
@@ -157,22 +146,6 @@ class Span {
   std::uint64_t start_ns_ = 0;
   std::uint64_t arg_ = 0;
 };
-
-#else  // !PI2M_TELEMETRY_ENABLED — compiled-out emission
-
-inline void instant(const char*, const char* = "pi2m", const char* = nullptr,
-                    std::uint64_t = 0) {}
-
-class Span {
- public:
-  explicit Span(const char*, const char* = "pi2m") {}
-  Span(const Span&) = delete;
-  Span& operator=(const Span&) = delete;
-  void set_arg(const char*, std::uint64_t) {}
-  void close() {}
-};
-
-#endif  // PI2M_TELEMETRY_ENABLED
 
 }  // namespace pi2m::telemetry
 

@@ -273,8 +273,6 @@ TEST(Oplog, HookIsQuietWithoutSession) {
   EXPECT_EQ(check::record_count(), before);
 }
 
-#if PI2M_OPLOG_ENABLED
-
 TEST(Oplog, RecordsCommitsInSequenceOrder) {
   DelaunayMesh mesh(test_box(), 1 << 12, 1 << 14);
   OpScratch scratch;
@@ -433,8 +431,6 @@ TEST(Replay, FourThreadRunReplaysByteIdentical) {
   EXPECT_EQ(check::snapshot_bytes(live), check::snapshot_bytes(r.snapshot));
   EXPECT_EQ(check::snapshot_hash(live), r.hash);
 }
-
-#endif  // PI2M_OPLOG_ENABLED
 
 // ---------------------------------------------------------------------------
 // Invariant auditor

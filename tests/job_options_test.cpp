@@ -10,6 +10,7 @@
 #include <string>
 #include <vector>
 
+#include "imaging/phantom.hpp"
 #include "pipeline/job_options.hpp"
 #include "serve/json.hpp"
 #include "serve/protocol.hpp"
@@ -48,8 +49,7 @@ const std::vector<std::string> kWireArgs = {
     "--lb", "rws",                "--smooth",        "2",
     "--out", "/tmp/a.vtk",        "--out",           "/tmp/b.p2m",
     "--report",                   "--validate"};
-const std::vector<std::string> kCliOnlyArgs = {"--topology", "4x1", "--pin",
-                                               "--park-spin-us", "70"};
+const std::vector<std::string> kCliOnlyArgs = {"--topology", "4x1"};
 
 void expect_wire_knobs(const JobSpec& s) {
   EXPECT_EQ(s.input_path, "");
@@ -77,9 +77,6 @@ void expect_cli_only_defaults(const JobSpec& s) {
   EXPECT_EQ(s.mesh.topology.cores_per_socket, d.mesh.topology.cores_per_socket);
   EXPECT_EQ(s.mesh.topology.sockets_per_blade,
             d.mesh.topology.sockets_per_blade);
-  EXPECT_EQ(s.mesh.topology_auto, d.mesh.topology_auto);
-  EXPECT_EQ(s.mesh.pin, d.mesh.pin);
-  EXPECT_EQ(s.mesh.park_spin_us, d.mesh.park_spin_us);
 }
 
 JobSpec decode(const std::string& job_json) {
@@ -126,23 +123,30 @@ TEST(JobOptions, CliOnlyRowsStayOffTheWire) {
   ASSERT_EQ(parse_flags(kCliOnlyArgs, Surface::Cli, cli), "");
   EXPECT_EQ(cli.mesh.topology.cores_per_socket, 4);
   EXPECT_EQ(cli.mesh.topology.sockets_per_blade, 1);
-  EXPECT_FALSE(cli.mesh.topology_auto);
-  EXPECT_TRUE(cli.mesh.pin);
-  EXPECT_EQ(cli.mesh.park_spin_us, 70);
-  JobSpec autotopo;
-  ASSERT_EQ(parse_flags({"--topology", "auto"}, Surface::Cli, autotopo), "");
-  EXPECT_TRUE(autotopo.mesh.topology_auto);
 
-  for (const char* flag : {"--topology", "--pin", "--park-spin-us"}) {
-    JobSpec submit = wire_job_defaults();
-    EXPECT_EQ(parse_flags({flag, "1"}, Surface::Wire, submit),
-              std::string("not a job flag: ") + flag);
-  }
-  // Set on a spec, they are still not encoded.
+  JobSpec submit = wire_job_defaults();
+  EXPECT_EQ(parse_flags({"--topology", "4x1"}, Surface::Wire, submit),
+            "not a job flag: --topology");
+  // Set on a spec, it is still not encoded.
   cli.phantom = "ball";
   const JsonValue job = serve::json_parse(serve::encode_job(cli));
-  for (const char* key : {"topology", "pin", "park_spin_us"}) {
-    EXPECT_TRUE(job[key].is_null()) << key;
+  EXPECT_TRUE(job["topology"].is_null());
+}
+
+// Thread pinning, the host-probed topology and the idle-spin knob are gone:
+// pi2m refuses each (exit 2), on the command line as on the wire.
+TEST(JobOptions, RetiredSchedulerKnobsAreRefused) {
+  for (const Surface surface : {Surface::Cli, Surface::Wire}) {
+    JobSpec s;
+    EXPECT_EQ(parse_flags({"--pin"}, surface, s), "not a job flag: --pin");
+    EXPECT_EQ(parse_flags({"--park-spin-us", "70"}, surface, s),
+              "not a job flag: --park-spin-us");
+  }
+  JobSpec s;
+  EXPECT_EQ(parse_flags({"--topology", "auto"}, Surface::Cli, s),
+            "--topology: unknown value 'auto'");
+  for (const char* key : {"pin", "park_spin_us"}) {
+    EXPECT_EQ(find_job_option(key, Surface::Cli), nullptr) << key;
   }
 }
 
@@ -177,10 +181,10 @@ TEST(JobOptions, HelpNamesEveryCliRow) {
     EXPECT_NE(wire.find(std::string("  ") + flag + " "), std::string::npos)
         << flag;
   }
-  for (const char* flag : {"--topology", "--pin", "--park-spin-us"}) {
-    EXPECT_NE(cli.find(std::string("  ") + flag + " "), std::string::npos)
-        << flag;
-    EXPECT_EQ(wire.find(flag), std::string::npos) << flag;
+  EXPECT_NE(cli.find("  --topology "), std::string::npos);
+  EXPECT_EQ(wire.find("--topology"), std::string::npos);
+  for (const char* gone : {"--pin", "--park-spin-us", "auto|"}) {
+    EXPECT_EQ(cli.find(gone), std::string::npos) << gone;
   }
   // Defaults come from the spec handed in.
   EXPECT_NE(cli.find("(default 64)"), std::string::npos);
@@ -210,8 +214,6 @@ TEST(JobOptions, ManifestEchoesEveryRowTyped) {
       {"cm", std::string("global")},
       {"lb", std::string("rws")},
       {"topology", std::string("4x1")},
-      {"pin", true},
-      {"park_spin_us", std::int64_t{70}},
       {"smooth", std::int64_t{2}},
   };
   EXPECT_EQ(man.config.size(), want.size());
@@ -220,12 +222,14 @@ TEST(JobOptions, ManifestEchoesEveryRowTyped) {
     ASSERT_NE(it, man.config.end()) << key;
     EXPECT_TRUE(it->second == value) << key;
   }
-  // The typed values reach the JSON as numbers and bools.
+  // The typed values reach the JSON as numbers.
   const JsonValue json = serve::json_parse(man.to_json());
   EXPECT_EQ(json["schema_version"].as_int(), 2);
   EXPECT_TRUE(json["config"]["threads"].is_number());
-  EXPECT_TRUE(json["config"]["pin"].as_bool());
   EXPECT_EQ(json["config"]["delta"].as_double(), 0.75);
+  for (const char* gone : {"pin", "park_spin_us"}) {
+    EXPECT_TRUE(json["config"][gone].is_null()) << gone;
+  }
 
   // At the defaults, the rows echoed only when set stay out.
   JobSpec plain;
@@ -236,7 +240,7 @@ TEST(JobOptions, ManifestEchoesEveryRowTyped) {
   for (const auto& [key, value] : quiet.config) keys.push_back(key);
   EXPECT_EQ(keys, (std::vector<std::string>{
                       "cm", "delta", "facet_angle", "input", "interior", "lb",
-                      "park_spin_us", "rho", "smooth", "threads"}));
+                      "rho", "smooth", "threads"}));
   EXPECT_TRUE(quiet.config["input"] == ConfigValue(std::string("/data/vol.mha")));
 }
 
@@ -252,7 +256,9 @@ TEST(JobOptions, BadCommandLineValuesAreRefused) {
       {"--out", "/tmp/m.obj"}, {"--cm", "chaos"},
       {"--lb", "HWS"},         {"--interior", "voronoi"},
       {"--topology", "8x2junk"}, {"--topology", "0x2"},
-      {"--delta"},
+      {"--topology", "65536x65536"}, {"--topology", "46341x46341"},
+      {"--topology", "257x1"},   {"--topology", "1x257"},
+      {"--topology", "-1x4"},    {"--delta"},
   };
   for (const auto& args : bad) {
     JobSpec s;
@@ -261,9 +267,35 @@ TEST(JobOptions, BadCommandLineValuesAreRefused) {
   // The range ends are in range.
   JobSpec edge;
   EXPECT_EQ(parse_flags({"--threads", "256", "--threads", "0", "--size", "2",
-                         "--crop-foreground", "-1", "--facet-angle", "60"},
+                         "--crop-foreground", "-1", "--facet-angle", "60",
+                         "--topology", "256x256"},
                         Surface::Cli, edge),
             "");
+  EXPECT_EQ(edge.mesh.topology.cores_per_socket, 256);
+  EXPECT_EQ(edge.mesh.topology.sockets_per_blade, 256);
+}
+
+// Every phantom name --phantom's help lists builds a phantom.
+TEST(JobOptions, EveryHelpPhantomNameResolves) {
+  const JobOption* row = find_job_option("phantom", Surface::Cli);
+  ASSERT_NE(row, nullptr);
+  std::string text = row->help;
+  text = text.substr(0, text.find(" ("));  // drop the trailing remark
+  std::erase(text, '\n');
+  std::vector<std::string> names;
+  for (std::size_t b = 0, e; b <= text.size(); b = e + 1) {
+    e = std::min(text.find('|', b), text.size());
+    names.push_back(text.substr(b, e - b));
+  }
+  EXPECT_EQ(names.size(), 8u);
+  for (const std::string& name : names) {
+    const auto img = phantom::by_name(name, 12);
+    ASSERT_TRUE(img.has_value()) << "'" << name << "'";
+    EXPECT_EQ(img->nx(), 12) << name;
+    EXPECT_FALSE(img->labels_present().empty()) << name;
+  }
+  EXPECT_FALSE(phantom::by_name("nosuch", 12).has_value());
+  EXPECT_FALSE(phantom::by_name("", 12).has_value());
 }
 
 // The number parse pi2m_serve's own flags use: whole string, integer,

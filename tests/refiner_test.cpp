@@ -187,19 +187,6 @@ INSTANTIATE_TEST_SUITE_P(
         std::make_tuple(3, CmKind::Aggressive, LbKind::RWS),
         std::make_tuple(8, CmKind::Local, LbKind::HWS)));
 
-TEST(RefinerParallelSched, PinAndAutoTopologySmoke) {
-  // --pin + --topology=auto on whatever host runs the tests: pinning is
-  // best-effort and must never affect the result invariants.
-  const LabeledImage3D img = phantom::ball(20, 0.7);
-  MeshingOptions opt = base_options(2.5, 2);
-  opt.pin = true;
-  opt.topology_auto = true;
-  opt.park_spin_us = 0;  // park immediately: exercises the timed-park path
-  Refiner refiner(img, opt);
-  const RefineOutcome out = refiner.refine();
-  check_refined(refiner, out);
-}
-
 TEST(RefinerParallelLarge, EightThreadsAbdominalPhantom) {
   const LabeledImage3D img = phantom::abdominal(32, 32, 32);
   MeshingOptions opt = base_options(2.0, 8);

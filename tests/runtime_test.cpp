@@ -1,12 +1,8 @@
 #include <gtest/gtest.h>
 
-#include <unistd.h>
-
 #include <array>
 #include <atomic>
 #include <cstdint>
-#include <filesystem>
-#include <fstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -49,68 +45,13 @@ TEST(Topology, PartialLastSocket) {
   EXPECT_EQ(t.num_blades(), 2);
 }
 
-// --- host topology probe --------------------------------------------------
-
-/// Builds a fake /sys/devices/system/cpu tree: cpus[i] belongs to
-/// packages[i].
-std::string make_fake_sysfs(const std::vector<int>& packages) {
-  namespace fs = std::filesystem;
-  const fs::path root =
-      fs::path(testing::TempDir()) /
-      ("pi2m_sysfs_" + std::to_string(::getpid()) + "_" +
-       std::to_string(packages.size()));
-  fs::remove_all(root);
-  for (std::size_t cpu = 0; cpu < packages.size(); ++cpu) {
-    const fs::path topo = root / ("cpu" + std::to_string(cpu)) / "topology";
-    fs::create_directories(topo);
-    std::ofstream(topo / "physical_package_id") << packages[cpu] << "\n";
-  }
-  return root.string();
-}
-
-TEST(TopologyProbe, TwoPackageHost) {
-  // 8 cpus, packages interleaved the way real hosts number HT siblings.
-  const std::string root = make_fake_sysfs({0, 0, 0, 0, 1, 1, 1, 1});
-  const HostProbe probe = probe_host_topology(root);
-  ASSERT_TRUE(probe.ok);
-  EXPECT_EQ(probe.spec.cores_per_socket, 4);
-  EXPECT_EQ(probe.spec.sockets_per_blade, 2);
-  // cpus grouped package-by-package so contiguous tids share a package.
-  ASSERT_EQ(probe.cpus.size(), 8u);
-  EXPECT_EQ(probe.cpus, (std::vector<int>{0, 1, 2, 3, 4, 5, 6, 7}));
-
-  const Topology topo = Topology::from_probe(8, probe);
-  EXPECT_TRUE(topo.host_probed());
-  EXPECT_EQ(topo.threads_per_socket(), 4);
-  EXPECT_TRUE(topo.same_socket(0, 3));
-  EXPECT_FALSE(topo.same_socket(3, 4));
-  EXPECT_EQ(topo.cpu_of(0), 0);
-  EXPECT_EQ(topo.cpu_of(7), 7);
-  std::filesystem::remove_all(root);
-}
-
-TEST(TopologyProbe, InterleavedPackageIds) {
-  // Package ids alternate per cpu (common BIOS numbering): the probe must
-  // still group the cpu map so tid blocks land on one package.
-  const std::string root = make_fake_sysfs({0, 1, 0, 1});
-  const HostProbe probe = probe_host_topology(root);
-  ASSERT_TRUE(probe.ok);
-  EXPECT_EQ(probe.spec.cores_per_socket, 2);
-  EXPECT_EQ(probe.spec.sockets_per_blade, 2);
-  EXPECT_EQ(probe.cpus, (std::vector<int>{0, 2, 1, 3}));
-  std::filesystem::remove_all(root);
-}
-
-TEST(TopologyProbe, MissingSysfsFallsBack) {
-  const HostProbe probe =
-      probe_host_topology("/nonexistent/pi2m/sysfs/here");
-  EXPECT_FALSE(probe.ok);
-  // from_probe degrades to the declared Blacklight-style spec with an
-  // identity cpu map.
-  const Topology topo = Topology::from_probe(4, probe);
-  EXPECT_FALSE(topo.host_probed());
-  EXPECT_EQ(topo.threads_per_socket(), 8);
-  EXPECT_EQ(topo.cpu_of(3), 3);
+TEST(Topology, RefusesSpecWhoseProductOverflows) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  // 65536 * 65536 wraps to 0 in int and would become a divisor.
+  EXPECT_DEATH(Topology(2, {65536, 65536}), "too large");
+  EXPECT_DEATH(Topology(2, {46341, 46341}), "too large");
+  const Topology t(2, {256, 256});
+  EXPECT_EQ(t.threads_per_blade(), 65536);
 }
 
 // --- contention managers ------------------------------------------------

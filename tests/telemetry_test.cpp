@@ -136,8 +136,6 @@ class TelemetryTest : public ::testing::Test {
   void TearDown() override { end(); }
 };
 
-#if PI2M_TELEMETRY_ENABLED
-
 TEST_F(TelemetryTest, SpanNestingAndOrdering) {
   begin(1024);
   set_thread_name("tester");
@@ -296,21 +294,6 @@ TEST_F(TelemetryTest, ChromeTraceParsesAndIsNonEmpty) {
   EXPECT_NE(text.find("\"main\""), std::string::npos);
   EXPECT_NE(text.find("\"dropped_events\":0"), std::string::npos);
 }
-
-#else  // !PI2M_TELEMETRY_ENABLED
-
-TEST_F(TelemetryTest, CompiledOutEmissionIsInert) {
-  begin(64);
-  instant("nothing", "test");
-  { Span s("nothing_span", "test"); }
-  end();
-  EXPECT_EQ(event_count(), 0u);
-  // The export API still produces valid (empty) JSON.
-  const std::string text = chrome_trace_json();
-  EXPECT_TRUE(JsonChecker(text).valid()) << text;
-}
-
-#endif  // PI2M_TELEMETRY_ENABLED
 
 // --- MetricsRegistry ------------------------------------------------------
 
