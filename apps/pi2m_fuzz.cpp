@@ -253,8 +253,10 @@ void run_refiner_case(const LabeledImage3D& img, int threads, CmKind cm,
                       LbKind lb, unsigned seed, CaseResult& res,
                       check::MeshSnapshot* concurrent_out, Aabb* box_out,
                       std::vector<check::OpRecord>* log_out,
-                      double delta = 2.5) {
+                      double delta = 2.5,
+                      InteriorFill interior = InteriorFill::Delaunay) {
   MeshingOptions opt;
+  opt.interior = interior;
   opt.threads = threads;
   opt.contention_manager = cm;
   opt.load_balancer = lb;
@@ -301,10 +303,10 @@ void run_refiner_case(const LabeledImage3D& img, int threads, CmKind cm,
 
 constexpr int kScenarioCount = 8;
 
-// Scenario 7 runs at a δ small enough for the solid ellipsoid to have a
-// deep-interior band, so the hybrid BCC fill (protected lattice seeds, rule
-// tag 7 in the op log, interface-blocked R2/R4/R5) is exercised under
-// concurrency + replay like every other refiner path. At this δ the band
+// Scenario 7 runs the hybrid interior at a δ small enough for the solid
+// ellipsoid to have a deep-interior band, so the BCC fill (protected
+// lattice seeds, rule tag 7 in the op log, interface-blocked R2/R4/R5) is
+// exercised under concurrency + replay like every other refiner path. At this δ the band
 // has ~6k interface seeds, enough for the densest BRIO round to be
 // inserted concurrently at 2 and 4 threads.
 constexpr double kEllipsoidDelta = 0.35;
@@ -412,7 +414,8 @@ CaseResult run_case(unsigned seed, const std::string& out_dir) {
       break;
     case 7:
       run_refiner_case(phantom::ellipsoid(32), threads, cm, lb, seed, res,
-                       &snap, &used_box, &log, kEllipsoidDelta);
+                       &snap, &used_box, &log, kEllipsoidDelta,
+                       InteriorFill::Lattice);
       break;
   }
 

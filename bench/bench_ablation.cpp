@@ -32,10 +32,13 @@ RefineOutcome run(const LabeledImage3D& img, double delta, int threads,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const int n = argc > 1 ? std::atoi(argv[1]) : 44;
-  const double delta = argc > 2 ? std::atof(argv[2]) : 1.2;
-  const int threads = argc > 3 ? std::atoi(argv[3]) : 8;
-  const std::string manifest_path = argc > 4 ? argv[4] : "";
+  const bench::Args args(
+      argc, argv,
+      "bench_ablation [grid_size=44] [delta=1.2] [threads=8] [manifest.json]");
+  const int n = args.grid(1, 44);
+  const double delta = args.positive(2, 1.2);
+  const int threads = args.count(3, 8);
+  const std::string manifest_path = args.text(4, "");
   telemetry::MetricsRegistry reg;
 
   std::printf("== Ablation studies ==\n");

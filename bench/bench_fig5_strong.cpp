@@ -4,7 +4,7 @@
 //   (b) inter-blade steal counts (HWS must show markedly fewer),
 //   (c) per-thread overhead breakdown for HWS.
 //
-//   ./bench_fig5_strong [--manifest PATH] [grid_size=48] [delta=1.1]
+//   ./bench_fig5_strong [--manifest PATH] [grid_size=56] [delta=1.0]
 //                       [max_threads=16]
 //
 // With --manifest the largest HWS run's outcome (steal locality, park
@@ -35,9 +35,12 @@ int main(int argc, char** argv) {
   argc = static_cast<int>(pos.size());
   argv = pos.data();
 
-  const int n = argc > 1 ? std::atoi(argv[1]) : 56;
-  const double delta = argc > 2 ? std::atof(argv[2]) : 1.0;
-  const int max_threads = argc > 3 ? std::atoi(argv[3]) : 16;
+  const bench::Args args(argc, argv,
+                         "bench_fig5_strong [--manifest PATH] [grid_size=56] "
+                         "[delta=1.0] [max_threads=16]");
+  const int n = args.grid(1, 56);
+  const double delta = args.positive(2, 1.0);
+  const int max_threads = args.count(3, 16);
 
   std::printf("== Figure 5: strong scaling, RWS vs HWS ==\n");
   std::printf("input: abdominal phantom %d^3, delta=%.2f (fixed problem)\n",
@@ -57,11 +60,9 @@ int main(int argc, char** argv) {
     for (const LbKind lb : {LbKind::RWS, LbKind::HWS}) {
       if (threads == 1 && lb == LbKind::HWS) continue;  // identical at 1
       std::printf("  running %s x%d...\n", lb_name(lb), threads);
-      bench::RunConfig cfg;
-      cfg.delta = delta;
-      cfg.threads = threads;
-      cfg.lb = lb;
-      const RefineOutcome out = bench::run_pi2m(img, cfg);
+      MeshingOptions opt = bench::options(delta, threads);
+      opt.load_balancer = lb;
+      const RefineOutcome out = bench::run_pi2m(img, opt);
       if (threads == 1) t1 = out.wall_sec;
       runs.push_back({threads, lb, out});
     }

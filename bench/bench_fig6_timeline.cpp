@@ -5,27 +5,27 @@
 // parallelism and intense begging/contention), then near-flat growth once
 // enough elements exist to keep every thread busy.
 //
-//   ./bench_fig6_timeline [grid_size=48] [delta=1.0] [threads=16]
+//   ./bench_fig6_timeline [grid_size=48] [delta=0.9] [threads=16]
 #include "bench_common.hpp"
 
 using namespace pi2m;
 
 int main(int argc, char** argv) {
-  const int n = argc > 1 ? std::atoi(argv[1]) : 48;
-  const double delta = argc > 2 ? std::atof(argv[2]) : 0.9;
-  const int threads = argc > 3 ? std::atoi(argv[3]) : 16;
+  const bench::Args args(
+      argc, argv, "bench_fig6_timeline [grid_size=48] [delta=0.9] [threads=16]");
+  const int n = args.grid(1, 48);
+  const double delta = args.positive(2, 0.9);
+  const int threads = args.count(3, 16);
 
   std::printf("== Figure 6: overhead vs wall time (%d threads) ==\n", threads);
   std::printf("input: abdominal phantom %d^3, delta=%.2f\n", n, delta);
   bench::print_host_note();
 
   const LabeledImage3D img = phantom::abdominal(n, n, n);
-  bench::RunConfig cfg;
-  cfg.delta = delta;
-  cfg.threads = threads;
-  cfg.timeline = true;
-  cfg.timeline_period = 0.02;
-  const RefineOutcome out = bench::run_pi2m(img, cfg);
+  MeshingOptions opt = bench::options(delta, threads);
+  opt.record_timeline = true;
+  opt.timeline_period_sec = 0.02;
+  const RefineOutcome out = bench::run_pi2m(img, opt);
   if (!out.completed) {
     std::fprintf(stderr, "run did not complete\n");
     return 1;

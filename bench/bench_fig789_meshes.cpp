@@ -70,9 +70,11 @@ void run_case(const char* name, const LabeledImage3D& img, double delta,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const int n = argc > 1 ? std::atoi(argv[1]) : 64;
-  const double delta = argc > 2 ? std::atof(argv[2]) : 1.0;
-  const std::string outdir = argc > 3 ? argv[3] : ".";
+  const bench::Args args(
+      argc, argv, "bench_fig789_meshes [grid_size=64] [delta=1.0] [outdir=.]");
+  const int n = args.grid(1, 64);
+  const double delta = args.positive(2, 1.0);
+  const std::string outdir = args.text(3, ".");
 
   std::printf("== Figures 7-9: output meshes of the three tools ==\n");
   std::printf("(render the .vtk files colored by the 'label' cell scalar)\n\n");

@@ -3,7 +3,7 @@
 // Rows: time, rollbacks, contention/load-balance/rollback overhead seconds,
 // total overhead, speedup vs 1 thread, livelock observed.
 //
-//   ./bench_table1_cm [grid_size=48] [delta=1.2] [threads_a=4] [threads_b=8]
+//   ./bench_table1_cm [grid_size=56] [delta=1.0] [threads_a=4] [threads_b=8]
 //
 // Paper shape to reproduce: Aggressive livelocks; Random terminates (if at
 // all) with far larger rollback counts and overheads; Global and Local are
@@ -23,13 +23,11 @@ struct CmRun {
 
 CmRun run_cm(const LabeledImage3D& img, double delta, int threads, CmKind cm,
              double watchdog) {
-  bench::RunConfig cfg;
-  cfg.delta = delta;
-  cfg.threads = threads;
-  cfg.cm = cm;
-  cfg.watchdog_sec = watchdog;
+  MeshingOptions opt = bench::options(delta, threads);
+  opt.contention_manager = cm;
+  opt.watchdog_sec = watchdog;
   CmRun r;
-  r.out = bench::run_pi2m(img, cfg);
+  r.out = bench::run_pi2m(img, opt);
   r.livelock = r.out.livelocked;
   return r;
 }
@@ -91,10 +89,13 @@ void table_for(const LabeledImage3D& img, double delta, int threads,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const int n = argc > 1 ? std::atoi(argv[1]) : 56;
-  const double delta = argc > 2 ? std::atof(argv[2]) : 1.0;
-  const int threads_a = argc > 3 ? std::atoi(argv[3]) : 4;
-  const int threads_b = argc > 4 ? std::atoi(argv[4]) : 8;
+  const bench::Args args(argc, argv,
+                         "bench_table1_cm [grid_size=56] [delta=1.0] "
+                         "[threads_a=4] [threads_b=8]");
+  const int n = args.grid(1, 56);
+  const double delta = args.positive(2, 1.0);
+  const int threads_a = args.count(3, 4);
+  const int threads_b = args.count(4, 8);
 
   std::printf("== Table 1: Contention Manager comparison ==\n");
   std::printf("input: abdominal phantom %d^3, delta=%.2f\n", n, delta);
@@ -103,10 +104,7 @@ int main(int argc, char** argv) {
   const LabeledImage3D img = phantom::abdominal(n, n, n);
 
   std::printf("baseline single-thread run...\n");
-  bench::RunConfig base;
-  base.delta = delta;
-  base.threads = 1;
-  const RefineOutcome o1 = bench::run_pi2m(img, base);
+  const RefineOutcome o1 = bench::run_pi2m(img, bench::options(delta, 1));
   std::printf("1-thread: %.2fs, %zu elements\n", o1.wall_sec, o1.mesh_cells);
 
   table_for(img, delta, threads_a, o1.wall_sec);

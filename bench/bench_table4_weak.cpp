@@ -25,10 +25,8 @@ void weak_scaling_case(const char* name, const LabeledImage3D& img,
   for (int threads = 1; threads <= max_threads; threads *= 2) {
     const double delta = bench::weak_scaling_delta(delta_1, threads);
     std::printf("  threads=%d delta=%.3f...\n", threads, delta);
-    bench::RunConfig cfg;
-    cfg.delta = delta;
-    cfg.threads = threads;
-    const RefineOutcome out = bench::run_pi2m(img, cfg);
+    const RefineOutcome out =
+        bench::run_pi2m(img, bench::options(delta, threads));
     if (threads == 1) {
       t1 = out.wall_sec;
       el1 = out.mesh_cells;
@@ -57,9 +55,11 @@ void weak_scaling_case(const char* name, const LabeledImage3D& img,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const int n = argc > 1 ? std::atoi(argv[1]) : 48;
-  const double delta_1 = argc > 2 ? std::atof(argv[2]) : 1.6;
-  const int max_threads = argc > 3 ? std::atoi(argv[3]) : 8;
+  const bench::Args args(
+      argc, argv, "bench_table4_weak [grid_size=48] [delta1=1.6] [max_threads=8]");
+  const int n = args.grid(1, 48);
+  const double delta_1 = args.positive(2, 1.6);
+  const int max_threads = args.count(3, 8);
 
   std::printf("== Table 4: weak scaling on two inputs ==\n");
   bench::print_host_note();

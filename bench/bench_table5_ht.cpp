@@ -13,9 +13,12 @@
 using namespace pi2m;
 
 int main(int argc, char** argv) {
-  const int n = argc > 1 ? std::atoi(argv[1]) : 48;
-  const double delta_1 = argc > 2 ? std::atof(argv[2]) : 1.6;
-  const int max_cores = argc > 3 ? std::atoi(argv[3]) : 8;
+  const bench::Args args(
+      argc, argv, "bench_table5_ht [grid_size=48] [delta1=1.6] [max_cores=8]");
+  const int n = args.grid(1, 48);
+  const double delta_1 = args.positive(2, 1.6);
+  // Runs up to 2 x max_cores threads.
+  const int max_cores = args.count(3, 8, kMaxJobThreads / 2);
 
   std::printf("== Table 5: 2x thread oversubscription (hyper-threading) ==\n");
   std::printf("input: abdominal phantom %d^3\n", n);
@@ -32,14 +35,9 @@ int main(int argc, char** argv) {
     const double delta = bench::weak_scaling_delta(delta_1, cores);
     std::printf("  cores=%d (threads %d vs %d), delta=%.3f...\n", cores,
                 cores, 2 * cores, delta);
-    bench::RunConfig base;
-    base.delta = delta;
-    base.threads = cores;
-    const RefineOutcome o1 = bench::run_pi2m(img, base);
-
-    bench::RunConfig ht = base;
-    ht.threads = 2 * cores;
-    const RefineOutcome o2 = bench::run_pi2m(img, ht);
+    const RefineOutcome o1 = bench::run_pi2m(img, bench::options(delta, cores));
+    const RefineOutcome o2 =
+        bench::run_pi2m(img, bench::options(delta, 2 * cores));
 
     h.push_back(std::to_string(cores));
     e.push_back(io::fmt_sci(static_cast<double>(o1.mesh_cells), 2));

@@ -90,9 +90,6 @@ void run_case(const char* name, const LabeledImage3D& img, double delta) {
 
   // PI2M, single thread (with all its locking/CM/LB machinery active).
   std::printf("  PI2M(1 thread)...\n");
-  bench::RunConfig cfg;
-  cfg.delta = delta;
-  cfg.threads = 1;
   MeshingOptions opt;
   opt.threads = 1;
   opt.delta = delta;
@@ -130,8 +127,10 @@ int main(int argc, char** argv) {
   // Defaults sized so the meshes land in the regime the paper compares in
   // (hundreds of thousands of elements), where PI2M's pooled flat storage
   // overtakes the reference's ever-growing lazy priority queue.
-  const int n = argc > 1 ? std::atoi(argv[1]) : 96;
-  const double delta = argc > 2 ? std::atof(argv[2]) : 0.65;
+  const bench::Args args(argc, argv,
+                         "bench_table6_single [grid_size=96] [delta=0.65]");
+  const int n = args.grid(1, 96);
+  const double delta = args.positive(2, 0.65);
 
   std::printf("== Table 6: single-threaded comparison ==\n");
   std::printf("(CGAL/TetGen are represented by from-scratch stand-ins of the\n"

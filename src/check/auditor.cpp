@@ -136,7 +136,7 @@ void InvariantAuditor::audit_cell(CellId c, AuditReport& rep) {
         const Cell& ncl = mesh_.cell(nb);
         const VertexId opp = ncl.v[static_cast<std::size_t>(mirror)];
         ++rep.insphere_checked;
-        if (insphere(p[0], p[1], p[2], p[3], mesh_.vertex(opp).pos) > 0) {
+        if (insphere(p[0], p[1], p[2], p[3], mesh_.position(opp)) > 0) {
           std::ostringstream os;
           os << "cell " << c << " face " << i << ": neighbour vertex " << opp
              << " strictly inside circumsphere (Delaunay violation)";

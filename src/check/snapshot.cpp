@@ -67,14 +67,14 @@ MeshSnapshot snapshot_mesh(const DelaunayMesh& mesh) {
     }
   }
   std::sort(alive.begin(), alive.end(), [&](VertexId a, VertexId b) {
-    return pos_less(mesh.vertex(a).pos, mesh.vertex(b).pos);
+    return pos_less(mesh.position(a), mesh.position(b));
   });
   std::vector<std::uint32_t> canon(mesh.vertex_count(), 0xFFFFFFFFu);
   s.vertices.reserve(alive.size());
   s.kinds.reserve(alive.size());
   for (std::size_t i = 0; i < alive.size(); ++i) {
     canon[alive[i]] = static_cast<std::uint32_t>(i);
-    s.vertices.push_back(mesh.vertex(alive[i]).pos);
+    s.vertices.push_back(mesh.position(alive[i]));
     s.kinds.push_back(static_cast<std::uint8_t>(mesh.vertex(alive[i]).kind));
   }
 

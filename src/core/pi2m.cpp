@@ -56,7 +56,7 @@ TetMesh extract_mesh(const DelaunayMesh& mesh, const IsosurfaceOracle& oracle,
     std::uint32_t& idx = remap[v];
     if (idx == kUnmapped) {
       idx = static_cast<std::uint32_t>(out.points.size());
-      out.points.push_back(mesh.vertex(v).pos);
+      out.points.push_back(mesh.position(v));
       out.point_kinds.push_back(mesh.vertex(v).kind);
     }
     return idx;

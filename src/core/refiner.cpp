@@ -297,7 +297,7 @@ void Refiner::handle_removal(int tid, VertexId v) {
       vert.kind != VertexKind::Circumcenter) {
     return;  // already removed, or a stale/foreign entry
   }
-  const Vec3 pos = vert.pos;
+  const Vec3 pos = mesh_->position(v);
 
   telemetry::Span op_span("op.remove", "op");
   // 6 = the R6 removal rule (the Rule enum only covers insertion rules).

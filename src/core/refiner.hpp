@@ -45,11 +45,11 @@ struct MeshingOptions {
   SizeFunction size_function;          ///< optional volume sizing field (R5)
   double removal_factor = 2.0;         ///< R6 radius = removal_factor * δ
 
-  /// Interior strategy: BCC-lattice bulk + Delaunay skin (default), or pure
-  /// Delaunay refinement everywhere (the escape hatch / A-B baseline).
-  /// Images too small to contain a deep-interior band degrade conservatively
-  /// to a byte-identical pure-Delaunay run.
-  InteriorFill interior = InteriorFill::Lattice;
+  /// Interior strategy: pure Delaunay refinement everywhere (default; it
+  /// keeps the fidelity and quality guarantees), or the hybrid BCC-lattice
+  /// bulk + Delaunay skin. A hybrid run on an image too small to contain a
+  /// deep-interior band degrades to a byte-identical pure-Delaunay run.
+  InteriorFill interior = InteriorFill::Delaunay;
   /// Lattice cube size in world units; <= 0 selects the automatic spacing
   /// 2δ (disphenoid edges then match the surface sample spacing scale).
   double lattice_spacing = 0.0;

@@ -146,9 +146,9 @@ Classification classify_cell(const DelaunayMesh& mesh, CellId c,
           std::atomic_ref(const_cast<VertexId&>(cl.v[kFaceOf[i][k]]))
               .load(std::memory_order_acquire);
     }
-    const Vec3& fa = mesh.vertex(fv[0]).pos;
-    const Vec3& fb = mesh.vertex(fv[1]).pos;
-    const Vec3& fc = mesh.vertex(fv[2]).pos;
+    const Vec3& fa = mesh.position(fv[0]);
+    const Vec3& fb = mesh.position(fv[1]);
+    const Vec3& fc = mesh.position(fv[2]);
     const bool bad_angle =
         min_triangle_angle(fa, fb, fc) < cfg.min_planar_angle_deg;
     const bool off_surface = !on_surface(mesh.vertex(fv[0]).kind) ||

@@ -34,10 +34,10 @@
 #include <atomic>
 #include <cstdint>
 #include <optional>
-#include <vector>
 
 #include "geometry/tetra.hpp"
 #include "geometry/vec3.hpp"
+#include "support/arena_pool.hpp"
 #include "support/common.hpp"
 
 namespace pi2m {
@@ -63,15 +63,7 @@ class CellGeomCache {
 
   /// Sized to the mesh's cell-slot capacity; chunks allocate on first touch
   /// (mirroring the cell arena), so memory tracks the live slot range.
-  explicit CellGeomCache(std::size_t max_cells)
-      : chunks_((max_cells >> kChunkBits) + 1) {
-    for (auto& c : chunks_) c.store(nullptr, std::memory_order_relaxed);
-  }
-  ~CellGeomCache() {
-    for (auto& c : chunks_) delete[] c.load(std::memory_order_relaxed);
-  }
-  CellGeomCache(const CellGeomCache&) = delete;
-  CellGeomCache& operator=(const CellGeomCache&) = delete;
+  explicit CellGeomCache(std::size_t max_cells) : entries_(max_cells) {}
 
   /// Seqlock read of the core entry for (c, gen). True on hit. `tid` indexes
   /// the padded hit/miss counter slot (any small non-negative id works).
@@ -176,8 +168,6 @@ class CellGeomCache {
   static constexpr std::uint64_t kCspHasBit = 2;
   static constexpr int kCspGenShift = 2;
 
-  static constexpr std::size_t kChunkBits = 14;
-  static constexpr std::size_t kChunkSize = std::size_t{1} << kChunkBits;
   static constexpr std::size_t kCounterSlots = 64;
 
   struct Entry {
@@ -218,27 +208,13 @@ class CellGeomCache {
                                        std::memory_order_relaxed);
   }
 
-  Entry& entry(CellId c) {
-    const std::size_t ci = c >> kChunkBits;
-    PI2M_CHECK(ci < chunks_.size(), "geom cache: cell id beyond capacity");
-    Entry* chunk = chunks_[ci].load(std::memory_order_acquire);
-    if (chunk == nullptr) {
-      Entry* fresh = new Entry[kChunkSize];
-      if (chunks_[ci].compare_exchange_strong(chunk, fresh,
-                                              std::memory_order_acq_rel)) {
-        chunk = fresh;
-      } else {
-        delete[] fresh;  // another thread won the race; `chunk` was updated
-      }
-    }
-    return chunk[c & (kChunkSize - 1)];
-  }
+  Entry& entry(CellId c) { return entries_.ensure(c); }
 
   Slot& count(int tid) {
     return counters_[static_cast<std::size_t>(tid) & (kCounterSlots - 1)];
   }
 
-  std::vector<std::atomic<Entry*>> chunks_;
+  ChunkArray<Entry> entries_;  // heap-backed: not part of the pooled arenas
   std::array<Slot, kCounterSlots> counters_{};
 };
 

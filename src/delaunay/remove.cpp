@@ -77,7 +77,7 @@ OpResult remove_vertex(DelaunayMesh& mesh, VertexId pv, int tid,
     if (candidate == kNoCell || candidate >= mesh.cell_slot_count() ||
         !mesh.cell_alive(candidate)) {
       const LocateResult loc =
-          locate_point(mesh, vp.pos, any_alive_cell(mesh, candidate));
+          locate_point(mesh, mesh.position(pv), any_alive_cell(mesh, candidate));
       if (!loc.ok) break;
       candidate = loc.cell;
     }
@@ -96,7 +96,7 @@ OpResult remove_vertex(DelaunayMesh& mesh, VertexId pv, int tid,
     unlock_from(mesh, tid, s, base);
     // Walk to pv's position for the next attempt.
     const LocateResult loc =
-        locate_point(mesh, vp.pos, any_alive_cell(mesh, candidate));
+        locate_point(mesh, mesh.position(pv), any_alive_cell(mesh, candidate));
     candidate = loc.ok ? loc.cell : kNoCell;
     if (candidate == kNoCell) break;
   }
@@ -182,7 +182,7 @@ OpResult remove_vertex(DelaunayMesh& mesh, VertexId pv, int tid,
 
   std::vector<Vec3> pts;
   pts.reserve(link.size());
-  for (const VertexId v : link) pts.push_back(mesh.vertex(v).pos);
+  for (const VertexId v : link) pts.push_back(mesh.position(v));
   // Global id -> local DT index, O(log n) per lookup (`link` itself is
   // timestamp-ordered, so a parallel id-sorted view is needed).
   std::vector<std::pair<VertexId, int>> local_of_global(link.size());
@@ -355,7 +355,7 @@ OpResult remove_vertex(DelaunayMesh& mesh, VertexId pv, int tid,
   vp.dead.store(true, std::memory_order_release);
   // Recorded before unlock: the sequence number drawn inside is only a valid
   // linearization order while the op still holds its vertex locks.
-  check::record_commit(check::OpKind::Remove, vp.pos,
+  check::record_commit(check::OpKind::Remove, mesh.position(pv),
                        static_cast<std::uint8_t>(vp.kind),
                        static_cast<std::uint32_t>(s.cavity.size()), tid);
   unlock_all(mesh, tid, s);

@@ -41,8 +41,8 @@ namespace pi2m {
 
 /// Interior meshing strategy (MeshingOptions::interior).
 enum class InteriorFill : std::uint8_t {
-  Delaunay,  ///< pure Delaunay refinement everywhere (pre-hybrid behaviour)
-  Lattice,   ///< BCC template bulk + Delaunay skin (default)
+  Delaunay,  ///< pure Delaunay refinement everywhere (default)
+  Lattice,   ///< BCC template bulk + Delaunay skin
 };
 
 const char* interior_name(InteriorFill k);

@@ -75,11 +75,24 @@ std::string format_topology(const JobSpec& s) {
          std::to_string(t.sockets_per_blade);
 }
 
-const char* check_output_format(std::string_view path) {
-  for (const char* ext : {".vtk", ".off", ".mesh", ".stl", ".p2m"}) {
-    if (path.ends_with(ext)) return nullptr;
+/// The output extensions joined by `sep`.
+std::string output_extensions(std::string_view sep) {
+  std::string out;
+  for (const OutputFormat& f : output_formats()) {
+    out.append(out.empty() ? "" : sep).append(f.extension);
   }
-  return "unknown output format (want .vtk|.off|.mesh|.stl|.p2m)";
+  return out;
+}
+
+const char* check_output_format(std::string_view path) {
+  static const std::string why =
+      "unknown output format (want " + output_extensions("|") + ")";
+  return output_format_of(path) != nullptr ? nullptr : why.c_str();
+}
+
+const char* output_help() {
+  static const std::string help = output_extensions(" | ") + " (repeatable)";
+  return help.c_str();
 }
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
@@ -120,9 +133,8 @@ const JobOption kRows[] = {
     {"uniform_size", "--uniform-size", "S", "uniform sizing field (R5); 0 = off",
      kMeshing, 0, kInf, false, true, Echo::IfSet, PI2M_FIELD(uniform_size)},
     {"interior", "--interior", "NAME",
-     "lattice (BCC template bulk + Delaunay skin)\n"
-     "| delaunay (refine everywhere; the\n"
-     "pre-hybrid behaviour / A-B baseline)",
+     "delaunay (refine everywhere)\n"
+     "| lattice (BCC template bulk + Delaunay skin)",
      kMeshing, 0, 0, false, true, Echo::Always,
      enum_field<&MeshingOptions::interior, interior_name,
                 parse_interior_name>()},
@@ -150,8 +162,7 @@ const JobOption kRows[] = {
 
     {"smooth", "--smooth", "N", "quality-guarded smoothing iterations",
      kOutput, 0, 1000, false, true, Echo::Always, PI2M_FIELD(smooth)},
-    {"outputs", "--out", "FILE",
-     ".vtk | .off | .mesh | .stl | .p2m (repeatable)",
+    {"outputs", "--out", "FILE", output_help(),
      kOutput, 0, 0, false, true, Echo::Never,
      ListField{PI2M_FIELD(outputs), check_output_format}},
     {"report", "--report", nullptr, "quality + fidelity report",
@@ -257,11 +268,11 @@ std::string set_option(const JobOption& o, const telemetry::ConfigValue& value,
 }
 
 std::string parse_number(std::string_view text, double lo, double hi,
-                         bool integer, double& out) {
+                         bool integer, double& out, bool lo_open) {
   if (!parse_whole(text, out)) {
     return "'" + std::string(text) + "' is not a number";
   }
-  return range_error(out, lo, hi, false, integer);
+  return range_error(out, lo, hi, lo_open, integer);
 }
 
 bool same_option_value(const JobOption& o, const JobSpec& a,

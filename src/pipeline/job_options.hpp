@@ -79,10 +79,11 @@ std::string set_option(const JobOption& o, const telemetry::ConfigValue& value,
                        JobSpec& spec);
 
 /// The rows' number parse, for flags outside the table: the whole of
-/// `text` must be a number in [lo, hi], and an integer when `integer`.
-/// Stores it in `out`; returns "" or why it was refused.
+/// `text` must be a number in [lo, hi] ((lo, hi] when `lo_open`), and an
+/// integer when `integer`. Stores it in `out`; returns "" or why it was
+/// refused.
 std::string parse_number(std::string_view text, double lo, double hi,
-                         bool integer, double& out);
+                         bool integer, double& out, bool lo_open = false);
 
 bool same_option_value(const JobOption& o, const JobSpec& a,
                        const JobSpec& b);

@@ -18,10 +18,13 @@ namespace pi2m {
 
 namespace {
 
-bool ends_with(const std::string& s, const std::string& suffix) {
-  return s.size() >= suffix.size() &&
-         s.compare(s.size() - suffix.size(), suffix.size(), suffix) == 0;
-}
+constexpr OutputFormat kOutputFormats[] = {
+    {".vtk", io::write_vtk},
+    {".off", io::write_off_surface},
+    {".mesh", io::write_medit},
+    {".stl", io::write_stl_surface},
+    {".p2m", io::save_mesh},
+};
 
 PredicateCounters counters_delta(const PredicateCounters& a,
                                  const PredicateCounters& b) {
@@ -39,6 +42,15 @@ PredicateCounters counters_delta(const PredicateCounters& a,
 }
 
 }  // namespace
+
+std::span<const OutputFormat> output_formats() { return kOutputFormats; }
+
+const OutputFormat* output_format_of(std::string_view path) {
+  for (const OutputFormat& f : kOutputFormats) {
+    if (path.ends_with(f.extension)) return &f;
+  }
+  return nullptr;
+}
 
 MeshJob::MeshJob(JobSpec spec) : spec_(std::move(spec)) {}
 
@@ -183,22 +195,12 @@ const JobArtifacts& MeshJob::run() {
   // --- outputs ---
   const double write_t0 = now_sec();
   for (const std::string& out : spec_.outputs) {
-    bool wrote;
-    if (ends_with(out, ".vtk")) {
-      wrote = io::write_vtk(art_.mesh, out);
-    } else if (ends_with(out, ".off")) {
-      wrote = io::write_off_surface(art_.mesh, out);
-    } else if (ends_with(out, ".mesh")) {
-      wrote = io::write_medit(art_.mesh, out);
-    } else if (ends_with(out, ".stl")) {
-      wrote = io::write_stl_surface(art_.mesh, out);
-    } else if (ends_with(out, ".p2m")) {
-      wrote = io::save_mesh(art_.mesh, out);
-    } else {
+    const OutputFormat* format = output_format_of(out);
+    if (format == nullptr) {
       fail("unknown output format: " + out);
       return art_;
     }
-    if (!wrote) {
+    if (!format->write(art_.mesh, out)) {
       fail("failed to write " + out);
       return art_;
     }

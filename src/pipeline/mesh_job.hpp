@@ -18,7 +18,9 @@
 #include <atomic>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/pi2m.hpp"
@@ -63,8 +65,21 @@ struct JobSpec {
   bool want_validation = false;  ///< structural mesh validation
 
   // --- outputs (written by run(); formats by extension) ---
-  std::vector<std::string> outputs;  ///< .vtk|.off|.mesh|.stl|.p2m
+  std::vector<std::string> outputs;  ///< see output_formats()
 };
+
+/// An output file format, chosen by the path's extension.
+struct OutputFormat {
+  const char* extension;
+  bool (*write)(const TetMesh& mesh, const std::string& path);
+};
+
+/// The formats run() writes. The one list: --out's check and help text
+/// read it too.
+std::span<const OutputFormat> output_formats();
+
+/// The format `path` ends in, or nullptr.
+const OutputFormat* output_format_of(std::string_view path);
 
 struct JobArtifacts {
   bool ok = false;          ///< completed refinement + wrote every output

@@ -8,19 +8,23 @@
 // blocks released by a finished job's mesh come back warm — same sizes,
 // pages already resident — and the next job re-uses them.
 //
-// The pool hands out *raw storage only*; the ChunkedStore placement-news
-// fresh elements into every block it acquires, so no object state can leak
+// The pool hands out *raw storage only*; ChunkArray placement-news fresh
+// elements into every block it acquires, so no object state can leak
 // between jobs (the second-run determinism test in tests/serve_test.cpp
 // guards exactly this). Blocks are bucketed by byte size and capped by a
 // byte budget; releases beyond the budget free immediately.
 #pragma once
 
+#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <map>
 #include <mutex>
 #include <new>
+#include <type_traits>
 #include <vector>
+
+#include "support/common.hpp"
 
 namespace pi2m {
 
@@ -140,6 +144,84 @@ class ArenaPool {
   std::size_t cached_bytes_ = 0;
   std::size_t budget_bytes_ = std::size_t{512} << 20;  // 512 MiB default
   Stats stats_;
+};
+
+/// Fixed-capacity array of lazily allocated chunks, indexed by id. The
+/// first touch of a chunk installs it lock-free (a CAS; the loser of a race
+/// frees its copy), and chunks never move or free while the array lives,
+/// so concurrent readers never see an element relocate. `pooled` draws
+/// chunk storage from the ArenaPool and returns it there on destruction;
+/// every acquired block is re-initialized element by element with
+/// placement-new, so a pooled array is observationally identical to a
+/// heap-backed one.
+template <typename T>
+class ChunkArray {
+ public:
+  static constexpr std::size_t kChunkBits = 14;
+  static constexpr std::size_t kChunkSize = std::size_t{1} << kChunkBits;
+
+  explicit ChunkArray(std::size_t max_elems, bool pooled = false)
+      : chunks_((max_elems + kChunkSize - 1) / kChunkSize + 1),
+        max_elems_(max_elems),
+        pooled_(pooled) {
+    for (auto& c : chunks_) c.store(nullptr, std::memory_order_relaxed);
+  }
+  ~ChunkArray() {
+    for (auto& c : chunks_) free_chunk(c.load(std::memory_order_relaxed));
+  }
+  ChunkArray(const ChunkArray&) = delete;
+  ChunkArray& operator=(const ChunkArray&) = delete;
+
+  /// Element `id`, installing its chunk first if no thread has yet.
+  T& ensure(std::uint32_t id) {
+    PI2M_CHECK(id < max_elems_, "chunk array: id beyond capacity");
+    std::atomic<T*>& slot = chunks_[id >> kChunkBits];
+    T* chunk = slot.load(std::memory_order_acquire);
+    if (chunk == nullptr) {
+      T* fresh = make_chunk();
+      if (slot.compare_exchange_strong(chunk, fresh,
+                                       std::memory_order_acq_rel)) {
+        chunk = fresh;
+      } else {
+        free_chunk(fresh);  // another thread won the race; `chunk` is its
+      }
+    }
+    return chunk[id & (kChunkSize - 1)];
+  }
+
+  /// Element `id` of an installed chunk (see ensure).
+  T& operator[](std::uint32_t id) const {
+    return chunks_[id >> kChunkBits].load(
+        std::memory_order_acquire)[id & (kChunkSize - 1)];
+  }
+
+  [[nodiscard]] std::size_t capacity() const { return max_elems_; }
+
+ private:
+  static constexpr std::size_t kChunkBytes = kChunkSize * sizeof(T);
+
+  T* make_chunk() {
+    if (!pooled_) return new T[kChunkSize];
+    static_assert(alignof(T) <= ArenaPool::kAlignment,
+                  "pool blocks under-aligned for T");
+    T* fresh = static_cast<T*>(ArenaPool::instance().acquire(kChunkBytes));
+    for (std::size_t i = 0; i < kChunkSize; ++i) new (fresh + i) T;
+    return fresh;
+  }
+  void free_chunk(T* p) {
+    if (p == nullptr) return;
+    if (pooled_) {
+      static_assert(std::is_trivially_destructible_v<T>,
+                    "pooled chunks skip element destruction");
+      ArenaPool::instance().release(p, kChunkBytes);
+    } else {
+      delete[] p;
+    }
+  }
+
+  mutable std::vector<std::atomic<T*>> chunks_;
+  std::size_t max_elems_;
+  bool pooled_;
 };
 
 }  // namespace pi2m

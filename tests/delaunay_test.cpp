@@ -464,15 +464,17 @@ TEST(ConcurrentMixed, InsertAndRemoveRace) {
   }
 }
 
-// --- SoA coordinate mirror ----------------------------------------------
+// --- Vertex position publication ------------------------------------------
 
-/// Insert/remove churn with concurrent lock-free readers (locate walks read
-/// positions through the SoA mirror), then a full-strength coherence check:
-/// the mirror must agree bit-for-bit with the vertex records.
-void soa_mirror_churn(int writer_threads) {
+/// Insert/remove churn with a concurrent lock-free reader (locate walks read
+/// the positions of vertices they learn from unlocked cell snapshots). Each
+/// writer records the point it inserted for each vertex id; afterwards every
+/// live vertex's position must be exactly that point.
+void position_publication_churn(int writer_threads) {
   DelaunayMesh mesh({{0, 0, 0}, {1, 1, 1}}, 1 << 16, 1 << 19);
   std::atomic<bool> stop{false};
-  std::atomic<std::uint64_t> inserts{0};
+  std::vector<std::vector<std::pair<VertexId, Vec3>>> inserted(
+      static_cast<std::size_t>(writer_threads));
 
   std::vector<std::thread> pool;
   for (int t = 0; t < writer_threads; ++t) {
@@ -480,28 +482,28 @@ void soa_mirror_churn(int writer_threads) {
       OpScratch s;
       std::mt19937 rng(9000 + t);
       std::uniform_real_distribution<double> u(0.02, 0.98);
-      std::vector<VertexId> mine;
+      auto& mine = inserted[static_cast<std::size_t>(t)];
+      std::vector<VertexId> live;
       CellId hint = 0;
       for (int i = 0; i < 400; ++i) {
-        if (!mine.empty() && i % 4 == 3) {
-          if (remove_vertex(mesh, mine.back(), t, s).status ==
+        if (!live.empty() && i % 4 == 3) {
+          if (remove_vertex(mesh, live.back(), t, s).status ==
               OpStatus::Success) {
-            mine.pop_back();
+            live.pop_back();
           }
         } else {
-          const OpResult r = insert_point(mesh, {u(rng), u(rng), u(rng)},
-                                          VertexKind::Circumcenter, hint, t, s);
+          const Vec3 p{u(rng), u(rng), u(rng)};
+          const OpResult r =
+              insert_point(mesh, p, VertexKind::Circumcenter, hint, t, s);
           if (r.status == OpStatus::Success) {
-            mine.push_back(r.new_vertex);
-            inserts.fetch_add(1, std::memory_order_relaxed);
+            live.push_back(r.new_vertex);
+            mine.emplace_back(r.new_vertex, p);
             hint = s.created.front();
           }
         }
       }
     });
   }
-  // One reader walking concurrently: every step reads coordinates through
-  // the mirror (mesh.position) on the lock-free snapshot path.
   std::thread reader([&] {
     std::mt19937 rng(777);
     std::uniform_real_distribution<double> u(0.02, 0.98);
@@ -513,22 +515,30 @@ void soa_mirror_churn(int writer_threads) {
   stop.store(true, std::memory_order_release);
   reader.join();
 
-  EXPECT_GT(inserts.load(), 0u);
-  // check_integrity includes the mirror-vs-record scan; also assert it
-  // directly so a future integrity refactor cannot silently drop it.
   EXPECT_EQ(mesh.check_integrity(/*check_delaunay=*/true), "");
-  for (VertexId v = 0; v < mesh.vertex_count(); ++v) {
-    if (mesh.vertex(v).dead.load()) continue;
-    const Vec3 m = mesh.position(v);
-    const Vec3& p = mesh.vertex(v).pos;
-    ASSERT_EQ(std::memcmp(&m, &p, sizeof(Vec3)), 0)
-        << "mirror mismatch at vertex " << v;
+  std::size_t live = 0;
+  for (const auto& mine : inserted) {
+    for (const auto& [v, p] : mine) {
+      if (mesh.vertex(v).dead.load()) continue;
+      ++live;
+      ASSERT_EQ(std::memcmp(&mesh.position(v), &p, sizeof(Vec3)), 0)
+          << "vertex " << v << " does not hold the point inserted for it";
+    }
   }
+  EXPECT_GT(live, 0u);
+  // Every live non-box vertex is one a writer inserted.
+  EXPECT_EQ(live, test::live_inner_vertices(mesh));
 }
 
-TEST(SoaMirror, CoherentAfterSingleThreadChurn) { soa_mirror_churn(1); }
-TEST(SoaMirror, CoherentAfterTwoThreadChurn) { soa_mirror_churn(2); }
-TEST(SoaMirror, CoherentAfterFourThreadChurn) { soa_mirror_churn(4); }
+TEST(PositionPublication, ExactAfterSingleThreadChurn) {
+  position_publication_churn(1);
+}
+TEST(PositionPublication, ExactAfterTwoThreadChurn) {
+  position_publication_churn(2);
+}
+TEST(PositionPublication, ExactAfterFourThreadChurn) {
+  position_publication_churn(4);
+}
 
 }  // namespace
 }  // namespace pi2m

@@ -17,6 +17,7 @@
 #include "io/writers.hpp"
 #include "metrics/hausdorff.hpp"
 #include "metrics/quality.hpp"
+#include "pipeline/mesh_job.hpp"
 
 namespace pi2m {
 namespace {
@@ -75,6 +76,25 @@ TEST(Integration, FullPipelineKneePhantom) {
   EXPECT_TRUE(found_points);
   EXPECT_TRUE(found_cells);
   std::remove(path.c_str());
+}
+
+// A default job keeps both guarantees on a multi-label phantom: fidelity
+// within one voxel (Theorem 1) and the radius-edge bound (R4). The hybrid
+// interior forms a lattice band here whose guard-zone tets exceed the bound
+// (max radius-edge 2.38-2.51 at 1 and 4 threads), so this also pins the
+// default interior.
+TEST(Integration, DefaultJobKeepsFidelityAndQualityBounds) {
+  JobSpec spec;
+  spec.phantom = "abdominal";
+  spec.want_report = true;
+  MeshJob job(spec);
+  const JobArtifacts& art = job.run();
+  ASSERT_TRUE(art.ok) << art.error;
+  EXPECT_EQ(art.outcome.lattice_tets, 0u);
+  ASSERT_TRUE(art.hausdorff.has_value());
+  ASSERT_TRUE(art.quality.has_value());
+  EXPECT_LE(art.hausdorff->symmetric() / job.image().min_spacing(), 1.0);
+  EXPECT_LE(art.quality->max_radius_edge, 2.0);
 }
 
 TEST(Integration, ExtractionConsistency) {

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <map>
 #include <string>
 #include <vector>
@@ -44,7 +45,7 @@ const std::vector<std::string> kWireArgs = {
     "--downsample", "2",          "--crop-foreground", "3",
     "--delta", "0.75",            "--rho",           "2.5",
     "--facet-angle", "25",        "--uniform-size",  "4.5",
-    "--interior", "delaunay",     "--lattice-spacing", "1.25",
+    "--interior", "lattice",      "--lattice-spacing", "1.25",
     "--threads", "3",             "--cm",            "global",
     "--lb", "rws",                "--smooth",        "2",
     "--out", "/tmp/a.vtk",        "--out",           "/tmp/b.p2m",
@@ -61,7 +62,7 @@ void expect_wire_knobs(const JobSpec& s) {
   EXPECT_EQ(s.mesh.radius_edge_bound, 2.5);
   EXPECT_EQ(s.mesh.min_planar_angle_deg, 25.0);
   EXPECT_EQ(s.uniform_size, 4.5);
-  EXPECT_EQ(s.mesh.interior, InteriorFill::Delaunay);
+  EXPECT_EQ(s.mesh.interior, InteriorFill::Lattice);
   EXPECT_EQ(s.mesh.lattice_spacing, 1.25);
   EXPECT_EQ(s.mesh.threads, 3);
   EXPECT_EQ(s.mesh.contention_manager, CmKind::Global);
@@ -208,7 +209,7 @@ TEST(JobOptions, ManifestEchoesEveryRowTyped) {
       {"rho", 2.5},
       {"facet_angle", 25.0},
       {"uniform_size", 4.5},
-      {"interior", std::string("delaunay")},
+      {"interior", std::string("lattice")},
       {"lattice_spacing", 1.25},
       {"threads", std::int64_t{3}},
       {"cm", std::string("global")},
@@ -298,8 +299,9 @@ TEST(JobOptions, EveryHelpPhantomNameResolves) {
   EXPECT_FALSE(phantom::by_name("", 12).has_value());
 }
 
-// The number parse pi2m_serve's own flags use: whole string, integer,
-// closed range.
+// The number parse pi2m_serve's own flags and the paper benches'
+// positional arguments use: whole string, integer, closed or left-open
+// range.
 TEST(JobOptions, ParseNumberIsWholeStringAndRangeChecked) {
   double v = 0;
   EXPECT_EQ(parse_number("256", 1, kMaxJobThreads, true, v), "");
@@ -311,6 +313,13 @@ TEST(JobOptions, ParseNumberIsWholeStringAndRangeChecked) {
   }
   EXPECT_EQ(parse_number("1.5", 0, 2, false, v), "");
   EXPECT_EQ(v, 1.5);
+  // A bench's delta: (0, inf).
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  EXPECT_EQ(parse_number("0", 0, kInf, false, v), "");
+  EXPECT_EQ(parse_number("0", 0, kInf, false, v, /*lo_open=*/true),
+            "0 is out of range (0, inf)");
+  EXPECT_EQ(parse_number("1e-9", 0, kInf, false, v, true), "");
+  EXPECT_NE(parse_number("inf", 0, kInf, false, v, true), "");
 }
 
 }  // namespace

@@ -90,6 +90,7 @@ TEST(LatticeFill, TemplatesArePositiveDisphenoidsInsideTheBand) {
 
 TEST(LatticeFill, HybridMeshIsWatertightAndAuditClean) {
   MeshingOptions opt;
+  opt.interior = InteriorFill::Lattice;
   opt.threads = 4;
   opt.delta = kDelta;
   opt.audit_final = true;
@@ -185,7 +186,7 @@ std::uint64_t seed_and_check(const LabeledImage3D& img, int threads) {
     EXPECT_FALSE(vx.dead.load());
     EXPECT_EQ(vx.kind, VertexKind::Lattice);
     const Vec3 q = fill.point_of(key);
-    EXPECT_EQ(std::memcmp(&q, &vx.pos, sizeof(Vec3)), 0);
+    EXPECT_EQ(std::memcmp(&q, &mesh.position(v), sizeof(Vec3)), 0);
     ids.insert(v);
   }
   EXPECT_EQ(ids.size(), n);
@@ -340,6 +341,7 @@ TEST(LatticeFill, MultiMaterialCoreFillsWithoutBreakingInterfaces) {
   // Delaunay and conforming.
   const LabeledImage3D img = phantom::thick_shell(64);
   MeshingOptions opt;
+  opt.interior = InteriorFill::Lattice;
   opt.delta = 1.0;
   opt.threads = 4;
   const MeshingResult res = mesh_image(img, opt);

@@ -109,15 +109,15 @@ TEST(RefinerSeq, SurfaceVerticesLieOnIsosurface) {
     const Vertex& vert = mesh.vertex(v);
     if (vert.dead.load() || !on_surface(vert.kind)) continue;
     ++surface_vertices;
-    const auto q = oracle.closest_surface_point(vert.pos);
+    const auto q = oracle.closest_surface_point(mesh.position(v));
     ASSERT_TRUE(q.has_value());
     // This self-distance is bounded by ~1.5 voxel diagonals: feature-voxel
     // quantization plus the sideways axis-refinement fallback. The precise
     // on-surface property is asserted by the analytic check below.
-    EXPECT_LT(distance(vert.pos, *q), 1.5 * std::sqrt(3.0)) << "vertex " << v;
+    EXPECT_LT(distance(mesh.position(v), *q), 1.5 * std::sqrt(3.0)) << "vertex " << v;
     // Voxelized sphere boundary lies within half a voxel diagonal of the
     // analytic sphere; bisection adds sub-voxel error.
-    EXPECT_NEAR(distance(vert.pos, c), r, 1.1) << "vertex " << v;
+    EXPECT_NEAR(distance(mesh.position(v), c), r, 1.1) << "vertex " << v;
   }
   EXPECT_GT(surface_vertices, 20u);
 }

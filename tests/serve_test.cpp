@@ -251,17 +251,17 @@ TEST(ServeProtocol, InteriorKnobRoundTrip) {
   JobSpec spec;
   std::string err;
   ASSERT_TRUE(decode_job(
-      json_parse(R"({"phantom":"ball","interior":"delaunay",)"
+      json_parse(R"({"phantom":"ball","interior":"lattice",)"
                  R"("lattice_spacing":3.5})"),
       &spec, &err))
       << err;
-  EXPECT_EQ(spec.mesh.interior, InteriorFill::Delaunay);
+  EXPECT_EQ(spec.mesh.interior, InteriorFill::Lattice);
   EXPECT_EQ(spec.mesh.lattice_spacing, 3.5);
 
-  // Absent knob keeps the hybrid default.
+  // Absent knob keeps the pure-Delaunay default.
   JobSpec dflt;
   ASSERT_TRUE(decode_job(json_parse(R"({"phantom":"ball"})"), &dflt, &err));
-  EXPECT_EQ(dflt.mesh.interior, InteriorFill::Lattice);
+  EXPECT_EQ(dflt.mesh.interior, InteriorFill::Delaunay);
 
   // Unknown fills and negative spacings are refused.
   JobSpec bad;
@@ -281,7 +281,7 @@ TEST(ServeProtocol, InteriorKnobRoundTrip) {
   const JsonValue man =
       json_parse(job.build_manifest("serve_test").to_json(), &err);
   ASSERT_TRUE(man.is_object()) << err;
-  EXPECT_EQ(man["config"]["interior"].as_string(), "delaunay");
+  EXPECT_EQ(man["config"]["interior"].as_string(), "lattice");
 }
 
 // ---------- job queue ----------
