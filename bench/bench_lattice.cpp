@@ -15,13 +15,15 @@
 // thermal/neighbor drift cancels; the medians over rounds are the reported
 // numbers.
 //
-// Usage: bench_lattice [grid_size] [delta] [threads] [rounds] [spacing]
+// Usage: bench_lattice [grid_size=96] [delta=1.0] [threads=2] [rounds=5]
+//                      [spacing=delta]
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
 #include <vector>
 
+#include "bench_common.hpp"
 #include "core/pi2m.hpp"
 #include "imaging/phantom.hpp"
 #include "metrics/hausdorff.hpp"
@@ -104,14 +106,17 @@ void print_mode(const char* name, const std::vector<Sample>& runs) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const int n = argc > 1 ? std::atoi(argv[1]) : 96;
-  const double delta = argc > 2 ? std::atof(argv[2]) : 1.0;
-  const int threads = argc > 3 ? std::atoi(argv[3]) : 2;
-  const int rounds = argc > 4 ? std::atoi(argv[4]) : 5;
+  const bench::Args args(argc, argv,
+                         "bench_lattice [grid_size=96] [delta=1.0] [threads=2] "
+                         "[rounds=5] [spacing=delta]");
+  const int n = args.grid(1, 96);
+  const double delta = args.positive(2, 1.0);
+  const int threads = args.count(3, 2);
+  const int rounds = args.count(4, 5, 1 << 20);
   // Lattice spacing delta (finer than the automatic 2*delta): the interior
   // elements come out at the same scale as the surface sampling, which is
   // what an FE simulation consuming the mesh wants.
-  const double spacing = argc > 5 ? std::atof(argv[5]) : delta;
+  const double spacing = args.positive(5, delta);
 
   const LabeledImage3D img = phantom::ellipsoid(n);
   const IsosurfaceOracle oracle(img, threads);

@@ -118,7 +118,7 @@ RunResult run_level(int inflight, bool warm, int jobs, int size,
 
 int main(int argc, char** argv) {
   std::string manifest_path;
-  std::vector<std::string> pos;
+  std::vector<char*> pos{argv[0]};
   for (int i = 1; i < argc; ++i) {
     const std::string a = argv[i];
     if (a == "--manifest" && i + 1 < argc) {
@@ -126,16 +126,19 @@ int main(int argc, char** argv) {
     } else if (a.rfind("--manifest=", 0) == 0) {
       manifest_path = a.substr(std::string("--manifest=").size());
     } else {
-      pos.push_back(a);
+      pos.push_back(argv[i]);
     }
   }
+  const pi2m::bench::Args args(
+      static_cast<int>(pos.size()), pos.data(),
+      "bench_serve [--manifest PATH] [grid_size=96] [delta=4.0] [jobs=12]");
   // Default workload: a coarse "interactive preview" mesh over a sizable
   // volume, where the EDT is ~half the per-job cost — the serving sweet
   // spot the warm cache targets. (Finer deltas shift time into refinement
   // and shrink the cache's relative win.)
-  const int size = pos.size() > 0 ? std::atoi(pos[0].c_str()) : 96;
-  const double delta = pos.size() > 1 ? std::atof(pos[1].c_str()) : 4.0;
-  const int jobs = pos.size() > 2 ? std::atoi(pos[2].c_str()) : 12;
+  const int size = args.grid(1, 96);
+  const double delta = args.positive(2, 4.0);
+  const int jobs = args.count(3, 12, 1 << 20);
 
   pi2m::bench::print_host_note();
   std::printf("# bench_serve: ball %d, delta %.3g, %d jobs per level\n\n",
