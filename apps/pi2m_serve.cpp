@@ -39,8 +39,7 @@ void usage() {
       "                          (default 1)\n"
       "  --edt-cache-mb N        EDT/oracle cache budget in MiB,\n"
       "                          0-1048576 (default 256)\n"
-      "  --manifest-dir DIR      write job_<id>.json run manifests here\n"
-      "  --no-warm-arena         disable arena block recycling across jobs\n");
+      "  --manifest-dir DIR      write job_<id>.json run manifests here\n");
 }
 
 pi2m::serve::SocketServer* g_server = nullptr;
@@ -89,8 +88,6 @@ int main(int argc, char** argv) {
                             << 20;
     } else if (key == "--manifest-dir") {
       cfg.manifest_dir = next();
-    } else if (key == "--no-warm-arena") {
-      cfg.warm_arena = false;
     } else {
       std::fprintf(stderr, "unknown option '%s' (try --help)\n", key.c_str());
       return 2;

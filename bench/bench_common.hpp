@@ -1,8 +1,9 @@
 // Shared plumbing for the paper-reproduction benchmark binaries.
 //
 // Every bench accepts [grid_size] [delta] as its first arguments so runs
-// can be scaled up on bigger machines; the defaults are sized for a small
-// single-core container (each bench finishes in seconds to a few minutes).
+// can be scaled up on bigger machines; the defaults are sized so each
+// bench finishes in seconds to a few minutes. Thread counts above the
+// host's hardware thread count timeshare its cores (print_host_note).
 #pragma once
 
 #include <cstdio>
@@ -96,13 +97,13 @@ inline double weak_scaling_delta(double delta_1, int threads) {
 
 inline void print_host_note() {
   std::printf(
-      "# NOTE: this reproduction host exposes %u hardware thread(s); thread\n"
-      "# counts beyond that exercise PI2M's concurrency control (rollbacks,\n"
-      "# contention managers, begging lists) without physical parallel\n"
-      "# speedup. The paper ran on Blacklight (cc-NUMA, up to 256 cores).\n"
-      "# Algorithmic counters (rollbacks, steal locality, overhead seconds)\n"
-      "# remain directly comparable; wall-clock speedups do not. See\n"
-      "# EXPERIMENTS.md.\n",
+      "# NOTE: this host has %u hardware thread(s); thread counts above\n"
+      "# that timeshare them, so they exercise PI2M's concurrency control\n"
+      "# (rollbacks, contention managers, begging lists) but add no\n"
+      "# parallel speedup. The paper ran on Blacklight (cc-NUMA, up to 256\n"
+      "# cores). Algorithmic counters (rollbacks, steal locality, overhead\n"
+      "# seconds) compare directly at any count; wall-clock speedups only\n"
+      "# up to this host's thread count. See EXPERIMENTS.md.\n",
       std::thread::hardware_concurrency());
 }
 

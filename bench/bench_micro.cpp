@@ -6,7 +6,6 @@
 
 #include <cstdint>
 #include <cstdio>
-#include <mutex>
 #include <random>
 #include <string>
 #include <thread>
@@ -365,64 +364,18 @@ std::vector<HandoffEntry> handoff_batch() {
   return batch;
 }
 
-/// Shared state for the contended hand-off benches (thread 0 = beggar
-/// draining its inbox, thread 1 = giver publishing batches). Both sides
-/// bound the inbox at the same capacity; a full inbox makes the giver
-/// yield and retry a few times, then drop the batch (the refiner keeps
-/// the batch locally in that case).
-struct MutexInbox {
-  std::mutex m;
-  std::vector<HandoffEntry> inbox;
-};
-MutexInbox& mutex_inbox() {
-  static MutexInbox s;
-  return s;
-}
+/// Shared inbox for the contended hand-off bench (thread 0 = beggar
+/// draining its inbox, thread 1 = giver publishing batches). A full inbox
+/// makes the giver yield and retry a few times, then drop the batch (the
+/// refiner keeps the batch locally in that case).
 MpscRing<HandoffEntry>& mpsc_inbox() {
   static MpscRing<HandoffEntry> s(kHandoffCapacity);
   return s;
 }
 
-void BM_InboxHandoffMutex(benchmark::State& state) {
-  // The pre-overhaul hand-off under real contention: giver locks and
-  // appends the batch while the beggar locks and swaps the vector out.
-  MutexInbox& s = mutex_inbox();
-  if (state.thread_index() == 0) {
-    std::vector<HandoffEntry> drained;
-    std::size_t n = 0;
-    for (auto _ : state) {
-      {
-        std::lock_guard<std::mutex> lk(s.m);
-        drained.clear();
-        drained.swap(s.inbox);
-      }
-      n += drained.size();
-      benchmark::DoNotOptimize(drained.data());
-    }
-    state.SetItemsProcessed(static_cast<std::int64_t>(n));
-  } else {
-    const auto batch = handoff_batch();
-    for (auto _ : state) {
-      for (int attempt = 0; attempt < 16; ++attempt) {
-        bool pushed = false;
-        {
-          std::lock_guard<std::mutex> lk(s.m);
-          if (s.inbox.size() + batch.size() <= kHandoffCapacity) {
-            s.inbox.insert(s.inbox.end(), batch.begin(), batch.end());
-            pushed = true;
-          }
-        }
-        if (pushed) break;
-        std::this_thread::yield();
-      }
-    }
-  }
-}
-BENCHMARK(BM_InboxHandoffMutex)->Threads(2)->UseRealTime();
-
 void BM_InboxHandoffMpsc(benchmark::State& state) {
-  // The lock-free hand-off under the same contention: one batched CAS
-  // publication by the giver, lock-free drain by the beggar.
+  // The lock-free hand-off under contention: one batched CAS publication
+  // by the giver, lock-free drain by the beggar.
   MpscRing<HandoffEntry>& ring = mpsc_inbox();
   if (state.thread_index() == 0) {
     std::size_t n = 0;
@@ -446,60 +399,23 @@ void BM_InboxHandoffMpsc(benchmark::State& state) {
 BENCHMARK(BM_InboxHandoffMpsc)->Threads(2)->UseRealTime();
 
 /// Poll-to-drain latency of one idle episode, as the begging thread
-/// experiences it: the beggar polls its empty inbox (the seed protocol
-/// locked the inbox mutex on EVERY poll iteration of the idle spin; the
-/// shipped ring polls with a relaxed empty() check), then a batch of 64
-/// arrives and is drained. 64 polls per episode is conservative — a real
-/// idle episode spins hundreds of iterations.
-template <typename PollFn, typename PushFn, typename DrainFn>
-void idle_episode(benchmark::State& state, PollFn&& poll, PushFn&& push,
-                  DrainFn&& drain) {
-  constexpr int kPolls = 64;
-  for (auto _ : state) {
-    for (int i = 0; i < kPolls; ++i) benchmark::DoNotOptimize(poll());
-    push();
-    benchmark::DoNotOptimize(drain());
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(kHandoffBatch));
-}
-
-void BM_IdlePollDrainMutex(benchmark::State& state) {
-  const auto batch = handoff_batch();
-  std::mutex inbox_mutex;
-  std::vector<HandoffEntry> inbox;
-  std::vector<HandoffEntry> drained;
-  idle_episode(
-      state,
-      [&] {
-        std::lock_guard<std::mutex> lk(inbox_mutex);
-        return inbox.empty();
-      },
-      [&] {
-        std::lock_guard<std::mutex> lk(inbox_mutex);
-        for (const HandoffEntry& e : batch) inbox.push_back(e);
-      },
-      [&] {
-        std::lock_guard<std::mutex> lk(inbox_mutex);
-        drained.clear();
-        drained.swap(inbox);
-        return drained.size();
-      });
-}
-BENCHMARK(BM_IdlePollDrainMutex);
-
+/// experiences it: the beggar polls its empty inbox with a relaxed empty()
+/// check, then a batch of 64 arrives and is drained. 64 polls per episode
+/// is conservative — a real idle episode spins hundreds of iterations.
 void BM_IdlePollDrainMpsc(benchmark::State& state) {
+  constexpr int kPolls = 64;
   const auto batch = handoff_batch();
   MpscRing<HandoffEntry> ring(kHandoffCapacity);
   std::vector<HandoffEntry> drained;
-  idle_episode(
-      state, [&] { return ring.empty(); },
-      [&] { ring.try_push_batch(batch.data(), batch.size()); },
-      [&] {
-        drained.clear();
-        ring.drain([&](const HandoffEntry& e) { drained.push_back(e); });
-        return drained.size();
-      });
+  for (auto _ : state) {
+    for (int i = 0; i < kPolls; ++i) benchmark::DoNotOptimize(ring.empty());
+    ring.try_push_batch(batch.data(), batch.size());
+    drained.clear();
+    ring.drain([&](const HandoffEntry& e) { drained.push_back(e); });
+    benchmark::DoNotOptimize(drained.size());
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(kHandoffBatch));
 }
 BENCHMARK(BM_IdlePollDrainMpsc);
 

@@ -10,9 +10,9 @@
 // p50/p95/p99 per configuration; with --manifest the whole table is also
 // written as one JSON document.
 //
-// On a single-hardware-thread container the in-flight levels timeshare
-// one core, so jobs/sec does not scale with executors — the cold-vs-warm
-// delta (EDT work skipped entirely) is the signal to read.
+// In-flight levels above the host's hardware thread count timeshare its
+// cores, so jobs/sec stops scaling with executors there — the cold-vs-warm
+// delta (EDT work skipped entirely) is the signal to read at every level.
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>

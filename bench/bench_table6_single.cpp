@@ -125,7 +125,7 @@ void run_case(const char* name, const LabeledImage3D& img, double delta) {
 
 int main(int argc, char** argv) {
   // Defaults sized so the meshes land in the regime the paper compares in
-  // (hundreds of thousands of elements), where PI2M's pooled flat storage
+  // (hundreds of thousands of elements), where PI2M's chunked flat storage
   // overtakes the reference's ever-growing lazy priority queue.
   const bench::Args args(argc, argv,
                          "bench_table6_single [grid_size=96] [delta=0.65]");

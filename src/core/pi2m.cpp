@@ -130,10 +130,6 @@ TetMesh extract_mesh(const DelaunayMesh& mesh, const IsosurfaceOracle& oracle,
   return out;
 }
 
-MeshingResult mesh_image(const LabeledImage3D& img, const MeshingOptions& opt) {
-  return mesh_image(img, opt, nullptr);
-}
-
 MeshingResult mesh_image(const LabeledImage3D& img, const MeshingOptions& opt,
                          std::shared_ptr<const IsosurfaceOracle> warm_oracle) {
   Refiner refiner(img, opt, std::move(warm_oracle));

@@ -65,14 +65,12 @@ struct MeshingResult {
   }
 };
 
-/// One-shot image-to-mesh conversion.
-MeshingResult mesh_image(const LabeledImage3D& img, const MeshingOptions& opt);
-
-/// Serving-path variant: re-uses a precomputed oracle (EDT cache hit; must
-/// match `img` in content) instead of recomputing the feature transform.
-/// Pass nullptr to fall back to the one-shot behaviour.
-MeshingResult mesh_image(const LabeledImage3D& img, const MeshingOptions& opt,
-                         std::shared_ptr<const IsosurfaceOracle> warm_oracle);
+/// Image-to-mesh conversion. The serving path passes `warm_oracle`, a
+/// precomputed oracle (EDT cache hit; must match `img` in content), instead
+/// of recomputing the feature transform.
+MeshingResult mesh_image(
+    const LabeledImage3D& img, const MeshingOptions& opt,
+    std::shared_ptr<const IsosurfaceOracle> warm_oracle = nullptr);
 
 /// Identity. The benchmark sources (perfbench/) still call it; drop it with
 /// their next change.

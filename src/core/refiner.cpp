@@ -31,9 +31,6 @@ constexpr double kParkSpinUs = 50;
 
 }  // namespace
 
-Refiner::Refiner(const LabeledImage3D& img, MeshingOptions opt)
-    : Refiner(img, std::move(opt), nullptr) {}
-
 Refiner::Refiner(const LabeledImage3D& img, MeshingOptions opt,
                  std::shared_ptr<const IsosurfaceOracle> warm_oracle)
     : opt_(opt),
@@ -61,8 +58,7 @@ Refiner::Refiner(const LabeledImage3D& img, MeshingOptions opt,
   const Aabb ib = img.bounds();
   const Aabb box = ib.inflated(kBoxMarginFrac * norm(ib.extent()));
   mesh_ = std::make_unique<DelaunayMesh>(box, opt_.max_vertices,
-                                         opt_.max_cells, kArenaBlock,
-                                         opt_.warm_arena);
+                                         opt_.max_cells, kArenaBlock);
   geom_cache_ = std::make_unique<CellGeomCache>(mesh_->cell_capacity());
 
   // Cell size = 2x query radius: a query ball overlaps at most 8 cells.

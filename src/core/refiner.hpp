@@ -83,10 +83,6 @@ struct MeshingOptions {
   /// RefineOutcome::cancelled (completed == false). The pointee must
   /// outlive refine(); the flag is only read, never cleared.
   const std::atomic<bool>* cancel = nullptr;
-  /// Back the mesh arenas with process-wide recycled chunk blocks
-  /// (support/arena_pool.hpp) so repeated runs in one process skip the
-  /// page-fault warm-up. Results are identical either way.
-  bool warm_arena = false;
 
   // ---- diagnostics ----
   bool record_timeline = false;  ///< sample Figure-6 style series
@@ -137,15 +133,13 @@ struct RefineOutcome {
 
 class Refiner {
  public:
-  Refiner(const LabeledImage3D& img, MeshingOptions opt);
-
-  /// Serving-path constructor: re-uses a precomputed oracle (EDT cache hit)
-  /// instead of computing the feature transform. `warm_oracle` must have
-  /// been built over an image identical in content to `img` (it is queried,
-  /// never mutated, so one oracle may serve concurrent refiners).
-  /// RefineOutcome::edt_sec reports 0 for such runs.
+  /// Computes the feature transform of `img`, unless `warm_oracle` is given:
+  /// the serving path re-uses a precomputed oracle (EDT cache hit), which
+  /// must have been built over an image identical in content to `img` (it
+  /// is queried, never mutated, so one oracle may serve concurrent
+  /// refiners). RefineOutcome::edt_sec reports 0 for such runs.
   Refiner(const LabeledImage3D& img, MeshingOptions opt,
-          std::shared_ptr<const IsosurfaceOracle> warm_oracle);
+          std::shared_ptr<const IsosurfaceOracle> warm_oracle = nullptr);
 
   /// Runs refinement to completion (or livelock/budget abort). Callable
   /// once per Refiner instance.

@@ -214,7 +214,7 @@ class CellGeomCache {
     return counters_[static_cast<std::size_t>(tid) & (kCounterSlots - 1)];
   }
 
-  ChunkArray<Entry> entries_;  // heap-backed: not part of the pooled arenas
+  ChunkArray<Entry> entries_;
   std::array<Slot, kCounterSlots> counters_{};
 };
 

@@ -95,11 +95,7 @@ constexpr std::array<std::array<int, 3>, 4> kFaceOf{{
 template <typename T>
 class ChunkedStore {
  public:
-  /// `pooled` draws chunk storage from the process-wide ArenaPool (warm
-  /// re-use across jobs in one process — see DESIGN.md "Serving
-  /// architecture").
-  explicit ChunkedStore(std::size_t max_elems, bool pooled = false)
-      : elems_(max_elems, pooled) {}
+  explicit ChunkedStore(std::size_t max_elems) : elems_(max_elems) {}
 
   /// Allocates one default-constructed element; thread-safe.
   std::uint32_t allocate() {
@@ -171,11 +167,8 @@ class DelaunayMesh {
   /// the block create_vertex overload; 1 (the default) reserves slots one at
   /// a time, which is what direct constructions (tests, tools) want — the
   /// refiner passes a larger block sized to its thread count.
-  /// `pooled_arena` backs the vertex/cell arenas with ArenaPool blocks so
-  /// repeated meshes in one process re-use warm storage (serving path).
   DelaunayMesh(const Aabb& box, std::size_t max_vertices,
-               std::size_t max_cells, std::uint32_t arena_block = 1,
-               bool pooled_arena = false);
+               std::size_t max_cells, std::uint32_t arena_block = 1);
 
   [[nodiscard]] const Aabb& box() const { return box_; }
 

@@ -48,7 +48,7 @@ class IsosurfaceOracle {
       const Vec3& a, const Vec3& b) const;
 
   /// Reference implementations of the two walks above: fixed-lattice scalar
-  /// sampling at `step()` intervals (the paper's description, verbatim).
+  /// sampling at `step_` intervals (the paper's description, verbatim).
   /// Not used by meshing: kept as the oracle the DDA walks are tested
   /// against, and as a micro-benchmark baseline.
   [[nodiscard]] std::optional<Vec3> closest_surface_point_reference(
@@ -59,9 +59,6 @@ class IsosurfaceOracle {
   /// True when the ball of center c and radius r intersects ∂O; implemented
   /// as |c - closest_surface_point(c)| <= r. Used by rules R1/R2.
   [[nodiscard]] bool ball_intersects_surface(const Vec3& c, double r) const;
-
-  /// Sampling step for ray walks (a fraction of the minimum voxel spacing).
-  [[nodiscard]] double step() const { return step_; }
 
   /// O(1) lower bound on the distance from p to ∂O: the EDT distance to the
   /// nearest surface-voxel *center* minus one voxel diagonal (the interface
@@ -107,6 +104,8 @@ class IsosurfaceOracle {
   const LabeledImage3D* img_;
   int threads_;
   FeatureTransform ft_;
+  /// Sampling step of the reference walks (a fraction of the minimum voxel
+  /// spacing).
   double step_;
   double voxel_diag_;
   Vec3 inv_sp_;

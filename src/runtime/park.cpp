@@ -1,79 +1,29 @@
 #include "runtime/park.hpp"
 
-#if PI2M_PARK_FUTEX
-#include <linux/futex.h>
-#include <sys/syscall.h>
-#include <unistd.h>
-
-#include <cerrno>
-#include <ctime>
-#else
 #include <chrono>
-#endif
 
 namespace pi2m {
 
-#if PI2M_PARK_FUTEX
-
-namespace {
-
-long futex(std::atomic<int>* addr, int op, int val,
-           const struct timespec* timeout) {
-  return syscall(SYS_futex, reinterpret_cast<int*>(addr), op, val, timeout,
-                 nullptr, 0);
-}
-
-}  // namespace
-
-bool ThreadParker::park(std::uint64_t timeout_us) {
-  int expected = kEmpty;
-  if (!state_.compare_exchange_strong(expected, kParked,
-                                      std::memory_order_acquire,
-                                      std::memory_order_acquire)) {
-    // A token was pending (unpark() won the race); consume it.
-    state_.store(kEmpty, std::memory_order_relaxed);
-    return true;
-  }
-  struct timespec ts;
-  ts.tv_sec = static_cast<time_t>(timeout_us / 1000000);
-  ts.tv_nsec = static_cast<long>((timeout_us % 1000000) * 1000);
-  // FUTEX_WAIT returns immediately with EAGAIN if the word is no longer
-  // kParked — exactly the unpark()-raced-ahead case. Spurious wakes and
-  // EINTR are fine: the caller re-checks its conditions anyway.
-  futex(&state_, FUTEX_WAIT_PRIVATE, kParked, &ts);
-  // Whether notified, timed out, or interrupted, leave the parker Empty.
-  return state_.exchange(kEmpty, std::memory_order_acquire) == kNotified;
-}
-
-void ThreadParker::unpark() {
-  if (state_.exchange(kNotified, std::memory_order_release) == kParked) {
-    futex(&state_, FUTEX_WAKE_PRIVATE, 1, nullptr);
-  }
-}
-
-#else  // condvar fallback
-
 bool ThreadParker::park(std::uint64_t timeout_us) {
   std::unique_lock<std::mutex> lk(mutex_);
-  if (state_.load(std::memory_order_acquire) == kNotified) {
-    state_.store(kEmpty, std::memory_order_relaxed);
+  if (state_ == kNotified) {
+    state_ = kEmpty;
     return true;
   }
-  state_.store(kParked, std::memory_order_relaxed);
-  cv_.wait_for(lk, std::chrono::microseconds(timeout_us), [&] {
-    return state_.load(std::memory_order_relaxed) == kNotified;
-  });
-  return state_.exchange(kEmpty, std::memory_order_acquire) == kNotified;
+  state_ = kParked;
+  cv_.wait_for(lk, std::chrono::microseconds(timeout_us),
+               [&] { return state_ == kNotified; });
+  const bool notified = state_ == kNotified;
+  state_ = kEmpty;
+  return notified;
 }
 
 void ThreadParker::unpark() {
   {
     std::lock_guard<std::mutex> lk(mutex_);
-    state_.store(kNotified, std::memory_order_release);
+    state_ = kNotified;
   }
   cv_.notify_one();
 }
-
-#endif
 
 }  // namespace pi2m

@@ -12,21 +12,13 @@
 // park doubles as a liveness backstop: even if every wake signal were
 // missed the system re-examines the world every timeout period.
 //
-// Implementation: a futex on the state word on Linux release builds; a
-// mutex + condition_variable everywhere else (non-Linux, and sanitizer
-// builds, where the raw syscall would be invisible to TSan's interceptors).
+// Implementation: a mutex + condition_variable guarding the state, in
+// every build (sanitizer builds run the same parker as release builds).
 #pragma once
 
-#include <atomic>
-#include <cstdint>
-
-#if defined(__linux__) && !defined(PI2M_UNDER_SANITIZER)
-#define PI2M_PARK_FUTEX 1
-#else
-#define PI2M_PARK_FUTEX 0
 #include <condition_variable>
+#include <cstdint>
 #include <mutex>
-#endif
 
 namespace pi2m {
 
@@ -49,11 +41,9 @@ class alignas(64) ThreadParker {
  private:
   enum State : int { kEmpty = 0, kParked = 1, kNotified = 2 };
 
-  std::atomic<int> state_{kEmpty};
-#if !PI2M_PARK_FUTEX
   std::mutex mutex_;
   std::condition_variable cv_;
-#endif
+  State state_ = kEmpty;  ///< guarded by mutex_
 };
 
 }  // namespace pi2m

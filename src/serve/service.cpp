@@ -154,7 +154,6 @@ void MeshService::run_job(const std::shared_ptr<JobRecord>& rec) {
 
   JobSpec spec = rec->spec;
   if (spec.mesh.threads <= 0) spec.mesh.threads = cfg_.default_threads;
-  spec.mesh.warm_arena = cfg_.warm_arena;
 
   MeshJob job(std::move(spec));
   job.set_cancel(&rec->cancel);

@@ -45,7 +45,10 @@ struct ServiceConfig {
   int default_threads = 1;      ///< refinement workers per job when the
                                 ///< request does not say
   std::size_t edt_cache_bytes = std::size_t{256} << 20;
-  bool warm_arena = true;       ///< recycle mesh arena blocks across jobs
+  /// Inert: every mesh draws its arenas from the process-wide ArenaPool.
+  /// Kept only because the benchmark sources (perfbench/) still set it;
+  /// drop it with their next change.
+  bool warm_arena = true;
   std::string manifest_dir;     ///< when set, write job_<id>.json per job
 };
 
@@ -127,7 +130,6 @@ class MeshService {
 
   [[nodiscard]] std::size_t queue_depth() const { return queue_.depth(); }
   [[nodiscard]] const ServiceConfig& config() const { return cfg_; }
-  [[nodiscard]] EdtCache& edt_cache() { return edt_cache_; }
 
  private:
   void executor_loop(int slot);

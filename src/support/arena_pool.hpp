@@ -1,18 +1,20 @@
 // Process-wide recycling pool for arena chunk storage.
 //
-// A one-shot run allocates its mesh arenas, faults the pages in, and frees
-// everything at teardown; the next job in the same process pays the
-// page-fault bill again. In the serving scenario (many jobs per process)
-// that bill dominates small-job latency, so ChunkedStore can optionally
-// draw its fixed-size chunk blocks from this pool instead of the heap:
-// blocks released by a finished job's mesh come back warm — same sizes,
-// pages already resident — and the next job re-uses them.
+// Every ChunkArray (the mesh's vertex, position and cell arenas and the
+// geometry cache's entries) draws its fixed-size chunk blocks from this
+// pool and returns them at destruction. A one-shot run pays the page
+// faults once either way; the next mesh in the same process (serving,
+// benchmarks, tests) re-uses warm blocks — same sizes, pages already
+// resident — instead of faulting fresh ones in, and its peak RSS no longer
+// depends on which glibc arena the heap would have served it from.
 //
 // The pool hands out *raw storage only*; ChunkArray placement-news fresh
 // elements into every block it acquires, so no object state can leak
-// between jobs (the second-run determinism test in tests/serve_test.cpp
+// between meshes (the second-run determinism test in tests/serve_test.cpp
 // guards exactly this). Blocks are bucketed by byte size and capped by a
-// byte budget; releases beyond the budget free immediately.
+// byte budget; releases beyond the budget free immediately. Under
+// AddressSanitizer a cached block is poisoned until it is handed out
+// again, so a read through a destroyed mesh still reports.
 #pragma once
 
 #include <atomic>
@@ -24,6 +26,8 @@
 #include <type_traits>
 #include <vector>
 
+#include <sanitizer/asan_interface.h>
+
 #include "support/common.hpp"
 
 namespace pi2m {
@@ -31,8 +35,10 @@ namespace pi2m {
 class ArenaPool {
  public:
   /// All pool blocks share this alignment, which must dominate the
-  /// alignment of every element type stored in pooled chunks.
+  /// alignment of every element type stored in chunk arrays.
   static constexpr std::size_t kAlignment = 64;
+  /// Cap on the cached (idle) bytes; in-flight blocks are not counted.
+  static constexpr std::size_t kBudgetBytes = std::size_t{512} << 20;
 
   struct Stats {
     std::uint64_t acquires = 0;  ///< total acquire() calls
@@ -60,6 +66,7 @@ class ArenaPool {
         it->second.pop_back();
         cached_bytes_ -= bytes;
         ++stats_.reuses;
+        ASAN_UNPOISON_MEMORY_REGION(p, bytes);
         return p;
       }
     }
@@ -73,7 +80,8 @@ class ArenaPool {
     {
       std::lock_guard<std::mutex> lk(mu_);
       ++stats_.releases;
-      if (cached_bytes_ + bytes <= budget_bytes_) {
+      if (cached_bytes_ + bytes <= kBudgetBytes) {
+        ASAN_POISON_MEMORY_REGION(p, bytes);
         free_[bytes].push_back(p);
         cached_bytes_ += bytes;
         return;
@@ -83,87 +91,60 @@ class ArenaPool {
     ::operator delete(p, std::align_val_t{kAlignment});
   }
 
-  /// Caps the cached (idle) bytes; shrinks the cache immediately when
-  /// lowered. In-flight blocks are not counted or affected.
-  void set_budget(std::size_t bytes) {
-    std::vector<std::pair<void*, std::size_t>> victims;
-    {
-      std::lock_guard<std::mutex> lk(mu_);
-      budget_bytes_ = bytes;
-      trim_locked(victims);
-    }
-    for (auto& [p, sz] : victims) {
-      (void)sz;
-      ::operator delete(p, std::align_val_t{kAlignment});
-    }
-  }
-
-  /// Frees every cached block (tests; budget unchanged).
+  /// Frees every cached block (tests).
   void clear() {
-    std::vector<std::pair<void*, std::size_t>> victims;
+    std::vector<void*> victims;
     {
       std::lock_guard<std::mutex> lk(mu_);
       for (auto& [sz, blocks] : free_) {
-        for (void* p : blocks) victims.emplace_back(p, sz);
+        for (void* p : blocks) {
+          ASAN_UNPOISON_MEMORY_REGION(p, sz);
+          victims.push_back(p);
+        }
         blocks.clear();
       }
       cached_bytes_ = 0;
     }
-    for (auto& [p, sz] : victims) {
-      (void)sz;
-      ::operator delete(p, std::align_val_t{kAlignment});
-    }
+    for (void* p : victims) ::operator delete(p, std::align_val_t{kAlignment});
   }
 
   [[nodiscard]] Stats stats() const {
     std::lock_guard<std::mutex> lk(mu_);
     Stats s = stats_;
     s.cached_bytes = cached_bytes_;
-    s.budget_bytes = budget_bytes_;
+    s.budget_bytes = kBudgetBytes;
     return s;
   }
 
  private:
   ArenaPool() = default;
 
-  void trim_locked(std::vector<std::pair<void*, std::size_t>>& victims) {
-    // Evict largest buckets first: one big block frees the most budget.
-    for (auto it = free_.rbegin();
-         it != free_.rend() && cached_bytes_ > budget_bytes_; ++it) {
-      while (!it->second.empty() && cached_bytes_ > budget_bytes_) {
-        victims.emplace_back(it->second.back(), it->first);
-        it->second.pop_back();
-        cached_bytes_ -= it->first;
-        ++stats_.frees;
-      }
-    }
-  }
-
   mutable std::mutex mu_;
   std::map<std::size_t, std::vector<void*>> free_;
   std::size_t cached_bytes_ = 0;
-  std::size_t budget_bytes_ = std::size_t{512} << 20;  // 512 MiB default
   Stats stats_;
 };
 
 /// Fixed-capacity array of lazily allocated chunks, indexed by id. The
 /// first touch of a chunk installs it lock-free (a CAS; the loser of a race
-/// frees its copy), and chunks never move or free while the array lives,
-/// so concurrent readers never see an element relocate. `pooled` draws
-/// chunk storage from the ArenaPool and returns it there on destruction;
-/// every acquired block is re-initialized element by element with
-/// placement-new, so a pooled array is observationally identical to a
-/// heap-backed one.
+/// returns its copy), and chunks never move or free while the array lives,
+/// so concurrent readers never see an element relocate. Chunk storage comes
+/// from the ArenaPool and goes back there on destruction; every acquired
+/// block is re-initialized element by element with placement-new.
 template <typename T>
 class ChunkArray {
+  static_assert(alignof(T) <= ArenaPool::kAlignment,
+                "pool blocks under-aligned for T");
+  static_assert(std::is_trivially_destructible_v<T>,
+                "pool blocks are released without element destruction");
+
  public:
   static constexpr std::size_t kChunkBits = 14;
   static constexpr std::size_t kChunkSize = std::size_t{1} << kChunkBits;
 
-  explicit ChunkArray(std::size_t max_elems, bool pooled = false)
+  explicit ChunkArray(std::size_t max_elems)
       : chunks_((max_elems + kChunkSize - 1) / kChunkSize + 1),
-        max_elems_(max_elems),
-        pooled_(pooled) {
+        max_elems_(max_elems) {
     for (auto& c : chunks_) c.store(nullptr, std::memory_order_relaxed);
   }
   ~ChunkArray() {
@@ -200,28 +181,17 @@ class ChunkArray {
  private:
   static constexpr std::size_t kChunkBytes = kChunkSize * sizeof(T);
 
-  T* make_chunk() {
-    if (!pooled_) return new T[kChunkSize];
-    static_assert(alignof(T) <= ArenaPool::kAlignment,
-                  "pool blocks under-aligned for T");
+  static T* make_chunk() {
     T* fresh = static_cast<T*>(ArenaPool::instance().acquire(kChunkBytes));
     for (std::size_t i = 0; i < kChunkSize; ++i) new (fresh + i) T;
     return fresh;
   }
-  void free_chunk(T* p) {
-    if (p == nullptr) return;
-    if (pooled_) {
-      static_assert(std::is_trivially_destructible_v<T>,
-                    "pooled chunks skip element destruction");
-      ArenaPool::instance().release(p, kChunkBytes);
-    } else {
-      delete[] p;
-    }
+  static void free_chunk(T* p) {
+    if (p != nullptr) ArenaPool::instance().release(p, kChunkBytes);
   }
 
   mutable std::vector<std::atomic<T*>> chunks_;
   std::size_t max_elems_;
-  bool pooled_;
 };
 
 }  // namespace pi2m

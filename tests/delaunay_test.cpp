@@ -12,6 +12,15 @@
 #include "geometry/tetra.hpp"
 #include "op_retry.hpp"
 #include "predicates/predicates.hpp"
+#include "support/arena_pool.hpp"
+
+#if defined(__SANITIZE_ADDRESS__)
+#define PI2M_TEST_ASAN 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer)
+#define PI2M_TEST_ASAN 1
+#endif
+#endif
 
 namespace pi2m {
 namespace {
@@ -69,6 +78,29 @@ TEST(ChunkedStore, ConcurrentAllocation) {
   std::array<int, kThreads> counts{};
   for (std::uint32_t i = 0; i < store.size(); ++i) ++counts[store[i]];
   for (int t = 0; t < kThreads; ++t) EXPECT_EQ(counts[t], kPer);
+}
+
+// Pool blocks are never freed once a mesh dies, so the pool poisons the
+// ones it caches: a read through a destroyed mesh still reports under
+// AddressSanitizer, and a block handed out again reads clean.
+TEST(ArenaPool, CachedBlocksArePoisonedUnderAsan) {
+#ifndef PI2M_TEST_ASAN
+  GTEST_SKIP() << "needs an AddressSanitizer build";
+#else
+  constexpr std::size_t kBytes = 3 * 4096 + 64;  // a size no arena uses
+  ArenaPool& pool = ArenaPool::instance();
+  char* p = static_cast<char*>(pool.acquire(kBytes));
+  std::memset(p, 1, kBytes);
+  EXPECT_FALSE(__asan_address_is_poisoned(p));
+  pool.release(p, kBytes);
+  EXPECT_TRUE(__asan_address_is_poisoned(p));
+  EXPECT_TRUE(__asan_address_is_poisoned(p + kBytes - 1));
+  char* q = static_cast<char*>(pool.acquire(kBytes));
+  ASSERT_EQ(q, p) << "the cached block must be handed out again";
+  EXPECT_FALSE(__asan_address_is_poisoned(q));
+  EXPECT_FALSE(__asan_address_is_poisoned(q + kBytes - 1));
+  pool.release(q, kBytes);
+#endif
 }
 
 TEST(ChunkedStore, BlockAllocationDisjointAndClamped) {

@@ -27,6 +27,7 @@
 #include "serve/protocol.hpp"
 #include "serve/server.hpp"
 #include "serve/service.hpp"
+#include "support/arena_pool.hpp"
 #include "telemetry/histogram.hpp"
 #include "telemetry/json_writer.hpp"
 
@@ -560,38 +561,41 @@ TEST(ServeMeshJob, InputErrorsAreReported) {
   EXPECT_NE(job.artifacts().error.find("failed to read"), std::string::npos);
 }
 
-// Satellite regression: meshing the same image twice in one process —
-// second run on warm (recycled) arena blocks and a warm EDT cache — must
-// produce exactly the mesh a fresh run produces.
+// Meshing the same image twice in one process — the second run on the
+// blocks the first one returned to the arena pool — must produce exactly
+// the mesh the first run produced on fresh blocks.
 TEST(ServeMeshJob, WarmArenaSecondRunIsByteIdentical) {
   const LabeledImage3D img = phantom::ball(24);
   // Single-threaded refinement is deterministic, so any divergence between
   // these runs is state leaking through the recycled arena blocks.
   // (Multi-threaded runs differ run-to-run by scheduling alone, which
   // would mask exactly the leak this test exists to catch.)
-  auto run_once = [&](bool warm_arena) {
+  auto run_once = [&] {
     MeshingOptions opt;
     opt.threads = 1;
     opt.delta = 1.2;
     opt.rng_seed = 7;
-    opt.warm_arena = warm_arena;
     Refiner r(img, opt);
     const RefineOutcome out = r.refine();
     EXPECT_TRUE(out.completed);
     return check::snapshot_hash(check::snapshot_mesh(r.mesh()));
   };
-  const std::uint64_t fresh = run_once(false);
-  const std::uint64_t warm1 = run_once(true);  // seeds the block pool
-  const std::uint64_t warm2 = run_once(true);  // meshes on recycled blocks
-  EXPECT_EQ(fresh, warm1);
-  EXPECT_EQ(fresh, warm2);
+  ArenaPool::instance().clear();
+  const std::uint64_t cold = run_once();  // fresh blocks, returned at the end
+  const ArenaPool::Stats before = ArenaPool::instance().stats();
+  const std::uint64_t warm = run_once();  // meshes on recycled blocks
+  const ArenaPool::Stats after = ArenaPool::instance().stats();
+  EXPECT_EQ(cold, warm);
+  const std::uint64_t acquires = after.acquires - before.acquires;
+  EXPECT_GT(acquires, 0u);
+  EXPECT_EQ(after.reuses - before.reuses, acquires)
+      << "every chunk of the second run must come from the pool";
 
   // The parallel path reuses blocks too; it cannot be byte-compared (the
   // speculative interleaving is nondeterministic) but must stay sound.
   MeshingOptions popt;
   popt.threads = 2;
   popt.delta = 1.2;
-  popt.warm_arena = true;
   Refiner pr(img, popt);
   EXPECT_TRUE(pr.refine().completed);
 }
