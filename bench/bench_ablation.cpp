@@ -16,7 +16,7 @@ using namespace pi2m;
 
 namespace {
 
-RefineOutcome run(const LabeledImage3D& img, double delta, int threads,
+MeshingResult run(const LabeledImage3D& img, double delta, int threads,
                   double removal_factor, int give_threshold,
                   TopologySpec topo) {
   MeshingOptions opt;
@@ -25,8 +25,7 @@ RefineOutcome run(const LabeledImage3D& img, double delta, int threads,
   opt.removal_factor = removal_factor;
   opt.give_threshold = give_threshold;
   opt.topology = topo;
-  Refiner refiner(img, opt);
-  return refiner.refine();
+  return mesh_image(img, opt);
 }
 
 }  // namespace
@@ -48,18 +47,20 @@ int main(int argc, char** argv) {
   {
     io::TextTable t;
     t.add_row({"removal factor", "elements", "removals", "time(s)",
-               "vertices"});
+               "points"});
     for (const double rf : {0.0, 1.0, 2.0, 3.0}) {
-      const RefineOutcome out = run(img, delta, 1, rf, 5, {2, 2});
-      t.add_row({io::fmt_double(rf, 1), io::fmt_int(out.mesh_cells),
+      const MeshingResult res = run(img, delta, 1, rf, 5, {2, 2});
+      const RefineOutcome& out = res.outcome;
+      t.add_row({io::fmt_double(rf, 1), io::fmt_int(res.mesh.num_tets()),
                  io::fmt_int(out.totals.removals),
-                 io::fmt_double(out.wall_sec, 2), io::fmt_int(out.vertices)});
+                 io::fmt_double(out.wall_sec, 2),
+                 io::fmt_int(res.mesh.num_points())});
       const std::string p =
           "ablation.removal_factor_" + io::fmt_double(rf, 1) + ".";
-      reg.set(p + "mesh_cells", out.mesh_cells);
+      reg.set(p + "tets", res.mesh.num_tets());
       reg.set(p + "removals", out.totals.removals);
       reg.set(p + "wall_sec", out.wall_sec);
-      reg.set(p + "vertices", out.vertices);
+      reg.set(p + "points", res.mesh.num_points());
     }
     t.print();
     std::printf("(factor 0 disables R6 entirely; 2.0 is the paper's rule)\n");
@@ -70,7 +71,8 @@ int main(int argc, char** argv) {
     io::TextTable t;
     t.add_row({"threshold", "time(s)", "loadbal(s)", "steals", "rollbacks"});
     for (const int thr : {1, 5, 20, 100}) {
-      const RefineOutcome out = run(img, delta, threads, 2.0, thr, {2, 2});
+      const RefineOutcome out =
+          run(img, delta, threads, 2.0, thr, {2, 2}).outcome;
       t.add_row({std::to_string(thr), io::fmt_double(out.wall_sec, 2),
                  io::fmt_double(out.totals.loadbalance_sec, 2),
                  io::fmt_int(out.totals.total_steals()),
@@ -94,7 +96,7 @@ int main(int argc, char** argv) {
                "inter-blade", "time(s)"});
     const TopologySpec topos[] = {{1, 1}, {2, 2}, {4, 2}, {8, 2}};
     for (const TopologySpec& ts : topos) {
-      const RefineOutcome out = run(img, delta, threads, 2.0, 5, ts);
+      const RefineOutcome out = run(img, delta, threads, 2.0, 5, ts).outcome;
       t.add_row({std::to_string(ts.cores_per_socket) + "x" +
                      std::to_string(ts.sockets_per_blade),
                  io::fmt_int(out.totals.steals_intra_socket),

@@ -12,7 +12,7 @@
 #include <string>
 #include <utility>
 
-#include "core/refiner.hpp"
+#include "core/pi2m.hpp"
 #include "imaging/phantom.hpp"
 #include "io/tables.hpp"
 #include "pipeline/job_options.hpp"
@@ -82,10 +82,9 @@ inline MeshingOptions options(double delta, int threads) {
   return opt;
 }
 
-inline RefineOutcome run_pi2m(const LabeledImage3D& img,
+inline MeshingResult run_pi2m(const LabeledImage3D& img,
                               const MeshingOptions& opt) {
-  Refiner refiner(img, opt);
-  return refiner.refine();
+  return mesh_image(img, opt);
 }
 
 /// Weak scaling control (paper §6.3): a decrease of delta by x increases

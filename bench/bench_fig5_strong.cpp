@@ -62,7 +62,7 @@ int main(int argc, char** argv) {
       std::printf("  running %s x%d...\n", lb_name(lb), threads);
       MeshingOptions opt = bench::options(delta, threads);
       opt.load_balancer = lb;
-      const RefineOutcome out = bench::run_pi2m(img, opt);
+      const RefineOutcome out = bench::run_pi2m(img, opt).outcome;
       if (threads == 1) t1 = out.wall_sec;
       runs.push_back({threads, lb, out});
     }

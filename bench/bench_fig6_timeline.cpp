@@ -22,10 +22,9 @@ int main(int argc, char** argv) {
   bench::print_host_note();
 
   const LabeledImage3D img = phantom::abdominal(n, n, n);
-  MeshingOptions opt = bench::options(delta, threads);
-  opt.record_timeline = true;
-  opt.timeline_period_sec = 0.02;
-  const RefineOutcome out = bench::run_pi2m(img, opt);
+  const MeshingResult res =
+      bench::run_pi2m(img, bench::options(delta, threads));
+  const RefineOutcome& out = res.outcome;
   if (!out.completed) {
     std::fprintf(stderr, "run did not complete\n");
     return 1;
@@ -46,24 +45,22 @@ int main(int argc, char** argv) {
 
   // Phase-1 summary as in the paper's narrative: the share of useful work
   // during the first 10% of the run vs overall.
-  if (!out.timeline.empty()) {
-    const TimelineSample& last = out.timeline.back();
-    const double cut = last.wall_sec * 0.1;
-    const TimelineSample* early = &out.timeline.front();
-    for (const auto& s : out.timeline) {
-      if (s.wall_sec <= cut) early = &s;
-    }
-    auto useful = [&](const TimelineSample& s, double wall) {
-      const double total = wall * threads;
-      const double wasted = s.contention_sec + s.loadbalance_sec + s.rollback_sec;
-      return total > 0 ? (total - wasted) / total : 0.0;
-    };
-    std::printf("\nuseful-work share, first %.0f%% of run : %s\n", 10.0,
-                io::fmt_pct(useful(*early, cut)).c_str());
-    std::printf("useful-work share, whole run          : %s\n",
-                io::fmt_pct(useful(last, last.wall_sec)).c_str());
-    std::printf("total elements: %zu in %.2fs\n", out.mesh_cells,
-                out.wall_sec);
+  const TimelineSample& last = out.timeline.back();
+  const double cut = last.wall_sec * 0.1;
+  const TimelineSample* early = &out.timeline.front();
+  for (const auto& s : out.timeline) {
+    if (s.wall_sec <= cut) early = &s;
   }
+  auto useful = [&](const TimelineSample& s, double wall) {
+    const double total = wall * threads;
+    const double wasted = s.contention_sec + s.loadbalance_sec + s.rollback_sec;
+    return total > 0 ? (total - wasted) / total : 0.0;
+  };
+  std::printf("\nuseful-work share, first %.0f%% of run : %s\n", 10.0,
+              io::fmt_pct(useful(*early, cut)).c_str());
+  std::printf("useful-work share, whole run          : %s\n",
+              io::fmt_pct(useful(last, last.wall_sec)).c_str());
+  std::printf("total elements: %zu in %.2fs\n", res.mesh.num_tets(),
+              out.wall_sec);
   return 0;
 }

@@ -16,20 +16,12 @@ using namespace pi2m;
 
 namespace {
 
-struct CmRun {
-  bool livelock = false;
-  RefineOutcome out;
-};
-
-CmRun run_cm(const LabeledImage3D& img, double delta, int threads, CmKind cm,
-             double watchdog) {
+MeshingResult run_cm(const LabeledImage3D& img, double delta, int threads,
+                     CmKind cm, double watchdog) {
   MeshingOptions opt = bench::options(delta, threads);
   opt.contention_manager = cm;
   opt.watchdog_sec = watchdog;
-  CmRun r;
-  r.out = bench::run_pi2m(img, opt);
-  r.livelock = r.out.livelocked;
-  return r;
+  return bench::run_pi2m(img, opt);
 }
 
 void table_for(const LabeledImage3D& img, double delta, int threads,
@@ -40,7 +32,7 @@ void table_for(const LabeledImage3D& img, double delta, int threads,
 
   const CmKind kinds[] = {CmKind::Aggressive, CmKind::Random, CmKind::Global,
                           CmKind::Local};
-  std::vector<CmRun> runs;
+  std::vector<MeshingResult> runs;
   runs.reserve(4);
   for (const CmKind k : kinds) {
     std::printf("  running %s...\n", cm_name(k));
@@ -52,35 +44,40 @@ void table_for(const LabeledImage3D& img, double delta, int threads,
 
   auto row = [&](const char* label, auto getter) {
     std::vector<std::string> cells{label};
-    for (const CmRun& r : runs) {
-      cells.push_back(r.livelock ? "n/a" : getter(r.out));
+    for (const MeshingResult& r : runs) {
+      cells.push_back(r.outcome.livelocked ? "n/a" : getter(r));
     }
     t.add_row(std::move(cells));
   };
-  row("time (secs)",
-      [](const RefineOutcome& o) { return io::fmt_double(o.wall_sec, 2); });
-  row("#elements",
-      [](const RefineOutcome& o) { return io::fmt_int(o.mesh_cells); });
-  row("rollbacks",
-      [](const RefineOutcome& o) { return io::fmt_int(o.totals.rollbacks); });
-  row("contention overhead (secs)", [](const RefineOutcome& o) {
-    return io::fmt_double(o.totals.contention_sec, 2);
+  row("time (secs)", [](const MeshingResult& r) {
+    return io::fmt_double(r.outcome.wall_sec, 2);
   });
-  row("load balance overhead (secs)", [](const RefineOutcome& o) {
-    return io::fmt_double(o.totals.loadbalance_sec, 2);
+  row("#elements", [](const MeshingResult& r) {
+    return io::fmt_int(r.mesh.num_tets());
   });
-  row("rollback overhead (secs)", [](const RefineOutcome& o) {
-    return io::fmt_double(o.totals.rollback_sec, 2);
+  row("rollbacks", [](const MeshingResult& r) {
+    return io::fmt_int(r.outcome.totals.rollbacks);
   });
-  row("total overhead (secs)", [](const RefineOutcome& o) {
-    return io::fmt_double(o.totals.total_overhead_sec(), 2);
+  row("contention overhead (secs)", [](const MeshingResult& r) {
+    return io::fmt_double(r.outcome.totals.contention_sec, 2);
   });
-  row("speedup vs 1 thread", [t1_sec](const RefineOutcome& o) {
-    return io::fmt_double(t1_sec / o.wall_sec, 2);
+  row("load balance overhead (secs)", [](const MeshingResult& r) {
+    return io::fmt_double(r.outcome.totals.loadbalance_sec, 2);
+  });
+  row("rollback overhead (secs)", [](const MeshingResult& r) {
+    return io::fmt_double(r.outcome.totals.rollback_sec, 2);
+  });
+  row("total overhead (secs)", [](const MeshingResult& r) {
+    return io::fmt_double(r.outcome.totals.total_overhead_sec(), 2);
+  });
+  row("speedup vs 1 thread", [t1_sec](const MeshingResult& r) {
+    return io::fmt_double(t1_sec / r.outcome.wall_sec, 2);
   });
   {
     std::vector<std::string> cells{"livelock"};
-    for (const CmRun& r : runs) cells.push_back(r.livelock ? "yes" : "no");
+    for (const MeshingResult& r : runs) {
+      cells.push_back(r.outcome.livelocked ? "yes" : "no");
+    }
     t.add_row(std::move(cells));
   }
   t.print();
@@ -104,10 +101,11 @@ int main(int argc, char** argv) {
   const LabeledImage3D img = phantom::abdominal(n, n, n);
 
   std::printf("baseline single-thread run...\n");
-  const RefineOutcome o1 = bench::run_pi2m(img, bench::options(delta, 1));
-  std::printf("1-thread: %.2fs, %zu elements\n", o1.wall_sec, o1.mesh_cells);
+  const MeshingResult r1 = bench::run_pi2m(img, bench::options(delta, 1));
+  std::printf("1-thread: %.2fs, %zu elements\n", r1.outcome.wall_sec,
+              r1.mesh.num_tets());
 
-  table_for(img, delta, threads_a, o1.wall_sec);
-  table_for(img, delta, threads_b, o1.wall_sec);
+  table_for(img, delta, threads_a, r1.outcome.wall_sec);
+  table_for(img, delta, threads_b, r1.outcome.wall_sec);
   return 0;
 }

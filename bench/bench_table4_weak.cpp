@@ -25,19 +25,20 @@ void weak_scaling_case(const char* name, const LabeledImage3D& img,
   for (int threads = 1; threads <= max_threads; threads *= 2) {
     const double delta = bench::weak_scaling_delta(delta_1, threads);
     std::printf("  threads=%d delta=%.3f...\n", threads, delta);
-    const RefineOutcome out =
+    const MeshingResult res =
         bench::run_pi2m(img, bench::options(delta, threads));
+    const RefineOutcome& out = res.outcome;
+    const std::size_t elements = res.mesh.num_tets();
     if (threads == 1) {
       t1 = out.wall_sec;
-      el1 = out.mesh_cells;
+      el1 = elements;
     }
-    const double speedup =
-        (static_cast<double>(out.mesh_cells) * t1) /
-        (out.wall_sec * static_cast<double>(el1));
+    const double speedup = (static_cast<double>(elements) * t1) /
+                           (out.wall_sec * static_cast<double>(el1));
     h.push_back(std::to_string(threads));
-    e.push_back(io::fmt_sci(static_cast<double>(out.mesh_cells), 2));
+    e.push_back(io::fmt_sci(static_cast<double>(elements), 2));
     w.push_back(io::fmt_double(out.wall_sec, 2));
-    r.push_back(io::fmt_sci(out.mesh_cells / out.wall_sec, 2));
+    r.push_back(io::fmt_sci(res.elements_per_sec(), 2));
     s.push_back(io::fmt_double(speedup, 2));
     f.push_back(io::fmt_double(speedup / threads, 2));
     o.push_back(io::fmt_double(out.totals.total_overhead_sec() / threads, 2));

@@ -35,12 +35,13 @@ int main(int argc, char** argv) {
     const double delta = bench::weak_scaling_delta(delta_1, cores);
     std::printf("  cores=%d (threads %d vs %d), delta=%.3f...\n", cores,
                 cores, 2 * cores, delta);
-    const RefineOutcome o1 = bench::run_pi2m(img, bench::options(delta, cores));
+    const MeshingResult r1 = bench::run_pi2m(img, bench::options(delta, cores));
     const RefineOutcome o2 =
-        bench::run_pi2m(img, bench::options(delta, 2 * cores));
+        bench::run_pi2m(img, bench::options(delta, 2 * cores)).outcome;
+    const RefineOutcome& o1 = r1.outcome;
 
     h.push_back(std::to_string(cores));
-    e.push_back(io::fmt_sci(static_cast<double>(o1.mesh_cells), 2));
+    e.push_back(io::fmt_sci(static_cast<double>(r1.mesh.num_tets()), 2));
     w1.push_back(io::fmt_double(o1.wall_sec, 2));
     w2.push_back(io::fmt_double(o2.wall_sec, 2));
     sp.push_back(io::fmt_double(o1.wall_sec / o2.wall_sec, 2));

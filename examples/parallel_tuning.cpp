@@ -1,4 +1,4 @@
-// Parallel-runtime tour: drives the Refiner directly to show the knobs the
+// Parallel-runtime tour: runs mesh_image to show the knobs the
 // paper's evaluation turns — contention manager, load balancer, virtual
 // topology, thread count — and prints the wasted-cycle breakdown (§5.5)
 // for each configuration.
@@ -7,7 +7,7 @@
 #include <cstdio>
 #include <cstdlib>
 
-#include "core/refiner.hpp"
+#include "core/pi2m.hpp"
 #include "imaging/phantom.hpp"
 #include "io/tables.hpp"
 
@@ -43,15 +43,15 @@ int main(int argc, char** argv) {
       opt.load_balancer = cfg.lb;
       opt.topology = {2, 2};  // small virtual sockets exercise all BL levels
       opt.delta = delta;
-      pi2m::Refiner refiner(img, opt);
-      const pi2m::RefineOutcome out = refiner.refine();
+      const pi2m::MeshingResult res = pi2m::mesh_image(img, opt);
+      const pi2m::RefineOutcome& out = res.outcome;
       if (!out.completed) {
         table.add_row({cfg.name, std::to_string(threads), "livelock!", "-",
                        "-", "-", "-", "-", "-", "-"});
         continue;
       }
       table.add_row({cfg.name, std::to_string(threads),
-                     pi2m::io::fmt_int(out.mesh_cells),
+                     pi2m::io::fmt_int(res.mesh.num_tets()),
                      pi2m::io::fmt_double(out.wall_sec, 3),
                      pi2m::io::fmt_int(out.totals.rollbacks),
                      pi2m::io::fmt_double(out.totals.contention_sec, 3),

@@ -4,8 +4,6 @@
 
 #include "check/auditor.hpp"
 #include "check/oplog.hpp"
-#include "geometry/tetra.hpp"
-#include "support/parallel_for.hpp"
 #include "telemetry/telemetry.hpp"
 
 namespace pi2m {
@@ -28,6 +26,14 @@ constexpr std::uint64_t kParkTimeoutUs = 1000;
 /// An idle thread spins/yields this long before each timed park: work
 /// usually arrives within a few operations' latency.
 constexpr double kParkSpinUs = 50;
+
+/// Timeline sampling period (the Figure-6 bench's resolution).
+constexpr double kTimelinePeriodSec = 0.02;
+
+TimelineSample timeline_sample(const StatsTotals& t, double wall_sec) {
+  return {wall_sec, t.contention_sec, t.loadbalance_sec, t.rollback_sec,
+          t.operations};
+}
 
 }  // namespace
 
@@ -84,12 +90,18 @@ Refiner::Refiner(const LabeledImage3D& img, MeshingOptions opt,
 
 void Refiner::drain_inbox(int tid) {
   ThreadCtx& ctx = *ctxs_[tid];
-  ctx.inbox.drain([&](const PelEntry& e) {
-    (e.near_surface ? ctx.pel_surface : ctx.pel_volume).push_back(e);
-  });
+  ctx.inbox.drain([&](const PelEntry& e) { ctx.pel(e).push_back(e); });
 }
 
-void Refiner::wake_all_workers() {
+void Refiner::requeue(ThreadCtx& ctx, const PelEntry& e) {
+  ctx.pel(e).push_back(e);
+  outstanding_.fetch_add(1, std::memory_order_acq_rel);
+}
+
+void Refiner::stop(std::atomic<bool>* reason) {
+  if (reason != nullptr) reason->store(true, std::memory_order_release);
+  done_.store(true, std::memory_order_release);
+  cm_->wake_all();
   for (auto& c : ctxs_) c->parker.unpark();
 }
 
@@ -167,7 +179,6 @@ void Refiner::distribute_new_cells(int tid, const std::vector<CellId>& created) 
                                static_cast<std::uint64_t>(beggar));
             break;
         }
-        lb_->work_flag(beggar).store(true, std::memory_order_release);
         bctx.parker.unpark();
         st.unparks_sent.fetch_add(1, std::memory_order_relaxed);
         telemetry::instant("lb.unpark", "lb", "to",
@@ -179,9 +190,7 @@ void Refiner::distribute_new_cells(int tid, const std::vector<CellId>& created) 
       outstanding_.fetch_sub(n, std::memory_order_acq_rel);
     }
   }
-  for (const PelEntry& e : ctx.new_poor) {
-    (e.near_surface ? ctx.pel_surface : ctx.pel_volume).push_back(e);
-  }
+  for (const PelEntry& e : ctx.new_poor) ctx.pel(e).push_back(e);
   outstanding_.fetch_add(static_cast<std::int64_t>(ctx.new_poor.size()),
                          std::memory_order_acq_rel);
 }
@@ -215,10 +224,7 @@ void Refiner::handle_insertion(int tid, const PelEntry& e) {
   // of committing a near-duplicate sample.
   if (cls.rule == Rule::R1 &&
       iso_grid_->any_within(cls.point, opt_.delta)) {
-    if (mesh_->cell_gen(e.cell) == e.gen) {
-      (e.near_surface ? ctx.pel_surface : ctx.pel_volume).push_back(e);
-      outstanding_.fetch_add(1, std::memory_order_acq_rel);
-    }
+    if (mesh_->cell_gen(e.cell) == e.gen) requeue(ctx, e);
     return;
   }
   // Tags the commit record with the triggering rule when the op-log
@@ -257,10 +263,7 @@ void Refiner::handle_insertion(int tid, const PelEntry& e) {
 
       // The triggering cell may have survived (R1/R3 insert points away
       // from its circumsphere); re-examine it for the remaining rules.
-      if (mesh_->cell_gen(e.cell) == e.gen) {
-        (e.near_surface ? ctx.pel_surface : ctx.pel_volume).push_back(e);
-        outstanding_.fetch_add(1, std::memory_order_acq_rel);
-      }
+      if (mesh_->cell_gen(e.cell) == e.gen) requeue(ctx, e);
       break;
     }
     case OpStatus::Conflict:
@@ -269,13 +272,11 @@ void Refiner::handle_insertion(int tid, const PelEntry& e) {
       telemetry::instant(
           "rollback", "op", "by",
           static_cast<std::uint64_t>(std::max(r.conflicting_thread, 0)));
-      (e.near_surface ? ctx.pel_surface : ctx.pel_volume).push_back(e);
-      outstanding_.fetch_add(1, std::memory_order_acq_rel);
+      requeue(ctx, e);
       cm_->on_rollback(tid, r.conflicting_thread, st);
       break;
     case OpStatus::Stale:
-      (e.near_surface ? ctx.pel_surface : ctx.pel_volume).push_back(e);
-      outstanding_.fetch_add(1, std::memory_order_acq_rel);
+      requeue(ctx, e);
       std::this_thread::yield();
       break;
     case OpStatus::Failed:
@@ -345,14 +346,14 @@ void Refiner::idle_protocol(int tid) {
   const double t0 = now_sec();
   idle_count_.fetch_add(1, std::memory_order_acq_rel);
   lb_->enqueue_beggar(tid);
-  std::atomic<bool>& flag = lb_->work_flag(tid);
   // Adaptive idle policy: spin/yield for kParkSpinUs, then fall back to
   // timed parks. The park timeout bounds how stale the checks below can get
   // even if an unpark is missed, so liveness never depends on the wake-up
   // path alone.
   const double spin_deadline = t0 + 1e-6 * kParkSpinUs;
   while (true) {
-    if (flag.load(std::memory_order_acquire)) break;
+    // A giver publishes into the inbox before it unparks us, so the inbox
+    // is the one hand-off signal.
     if (done_.load(std::memory_order_acquire)) break;
     if (!ctx.inbox.empty()) break;
     // Global termination: everyone idle, nothing outstanding, nobody
@@ -360,9 +361,7 @@ void Refiner::idle_protocol(int tid) {
     if (idle_count_.load(std::memory_order_acquire) == opt_.threads &&
         outstanding_.load(std::memory_order_acquire) == 0 &&
         cm_->blocked_count() == 0) {
-      done_.store(true, std::memory_order_release);
-      cm_->wake_all();
-      wake_all_workers();
+      stop(nullptr);
       break;
     }
     // A thread may have blocked in the CM while this one was turning idle
@@ -385,7 +384,6 @@ void Refiner::idle_protocol(int tid) {
     st.add_parked(now_sec() - p0);
   }
   lb_->cancel(tid);
-  flag.store(false, std::memory_order_release);
   idle_count_.fetch_sub(1, std::memory_order_acq_rel);
   st.add_loadbalance(now_sec() - t0);
   drain_inbox(tid);
@@ -396,10 +394,7 @@ void Refiner::worker(int tid) {
   ThreadCtx& ctx = *ctxs_[tid];
   while (!done_.load(std::memory_order_acquire)) {
     if (successful_ops_.load(std::memory_order_relaxed) >= opt_.op_budget) {
-      budget_exhausted_.store(true, std::memory_order_release);
-      done_.store(true, std::memory_order_release);
-      cm_->wake_all();
-      wake_all_workers();
+      stop(&budget_exhausted_);
       break;
     }
     // Cooperative cancellation, checked at the loop boundary only: an
@@ -407,10 +402,7 @@ void Refiner::worker(int tid) {
     // mesh is left structurally sound for inspection/teardown.
     if (opt_.cancel != nullptr &&
         opt_.cancel->load(std::memory_order_relaxed)) {
-      cancelled_.store(true, std::memory_order_release);
-      done_.store(true, std::memory_order_release);
-      cm_->wake_all();
-      wake_all_workers();
+      stop(&cancelled_);
       break;
     }
     if (!ctx.removals.empty()) {
@@ -439,8 +431,6 @@ void Refiner::worker(int tid) {
 }
 
 void Refiner::monitor() {
-  const double period =
-      opt_.record_timeline ? opt_.timeline_period_sec : 0.01;
   std::uint64_t last_ops = 0;
   double last_progress = now_sec();
   double next_sample = start_sec_;
@@ -451,10 +441,7 @@ void Refiner::monitor() {
     // within its polling period and wakes everyone.
     if (opt_.cancel != nullptr &&
         opt_.cancel->load(std::memory_order_relaxed)) {
-      cancelled_.store(true, std::memory_order_release);
-      done_.store(true, std::memory_order_release);
-      cm_->wake_all();
-      wake_all_workers();
+      stop(&cancelled_);
       break;
     }
     const double now = now_sec();
@@ -465,17 +452,12 @@ void Refiner::monitor() {
     } else if (now - last_progress > opt_.watchdog_sec) {
       // No operation completed anywhere for watchdog_sec: livelock (or a
       // wedged system); abort so the caller can report it (paper Table 1).
-      livelocked_.store(true, std::memory_order_release);
-      done_.store(true, std::memory_order_release);
-      cm_->wake_all();
-      wake_all_workers();
+      stop(&livelocked_);
       break;
     }
-    if (opt_.record_timeline && now >= next_sample) {
-      const StatsTotals t = aggregate(stats_);
-      timeline_.push_back({now - start_sec_, t.contention_sec,
-                           t.loadbalance_sec, t.rollback_sec, t.operations});
-      next_sample = now + period;
+    if (now >= next_sample) {
+      timeline_.push_back(timeline_sample(aggregate(stats_), now - start_sec_));
+      next_sample = now + kTimelinePeriodSec;
     }
   }
 }
@@ -569,7 +551,8 @@ RefineOutcome Refiner::refine() {
     out.lattice_seed_deferred = lattice_seed_deferred;
   }
   out.totals = aggregate(stats_);
-  out.timeline = timeline_;
+  out.timeline = std::move(timeline_);
+  out.timeline.push_back(timeline_sample(out.totals, wall));
   for (std::size_t i = 0; i < rule_counts_.size(); ++i) {
     out.rule_counts[i] = rule_counts_[i].load(std::memory_order_relaxed);
   }
@@ -578,33 +561,6 @@ RefineOutcome Refiner::refine() {
   out.classify_cache_misses = ct.misses;
   out.classify_csp_hits = ct.csp_hits;
   out.classify_csp_misses = ct.csp_misses;
-
-  // Count alive cells and final elements (circumcenter inside O) with a
-  // parallel scan — the paper keeps incremental per-thread lists instead;
-  // a single O(#cells) pass at the end is an equivalent, simpler accounting
-  // (see DESIGN.md deviations).
-  const std::uint32_t slots = mesh_->cell_slot_count();
-  std::atomic<std::size_t> alive{0}, elems{0};
-  parallel_blocks(slots, opt_.threads, [&](std::size_t b, std::size_t e) {
-    std::size_t a = 0, m = 0;
-    for (std::size_t c = b; c < e; ++c) {
-      const CellId cid = static_cast<CellId>(c);
-      if (!mesh_->cell_alive(cid)) continue;
-      ++a;
-      const auto p = mesh_->positions(cid);
-      const Circumsphere cs = circumsphere(p[0], p[1], p[2], p[3]);
-      if (cs.valid && oracle_->inside(cs.center)) ++m;
-    }
-    alive.fetch_add(a);
-    elems.fetch_add(m);
-  });
-  out.alive_cells = alive.load();
-  out.mesh_cells = elems.load();
-  std::size_t live_vertices = 0;
-  for (VertexId v = 0; v < mesh_->vertex_count(); ++v) {
-    if (!mesh_->vertex(v).dead.load(std::memory_order_relaxed)) ++live_vertices;
-  }
-  out.vertices = live_vertices;
   return out;
 }
 

@@ -85,8 +85,6 @@ struct MeshingOptions {
   const std::atomic<bool>* cancel = nullptr;
 
   // ---- diagnostics ----
-  bool record_timeline = false;  ///< sample Figure-6 style series
-  double timeline_period_sec = 0.05;
   /// Run a full invariant audit (check/auditor.hpp) on the final mesh after
   /// the workers join — the refinement-phase boundary, where the mesh is
   /// quiescent. Violations land in RefineOutcome::audit_errors.
@@ -105,10 +103,9 @@ struct RefineOutcome {
   double wall_sec = 0.0;   ///< refinement only (excludes EDT)
   double edt_sec = 0.0;    ///< preprocessing (feature transform)
   StatsTotals totals;
+  /// Figure-6 series, sampled every 20 ms; the last sample, taken after the
+  /// join, holds `totals` at `wall_sec`.
   std::vector<TimelineSample> timeline;
-  std::size_t alive_cells = 0;  ///< all cells tiling the virtual box
-  std::size_t mesh_cells = 0;   ///< elements with circumcenter inside O
-  std::size_t vertices = 0;
   std::array<std::uint64_t, 6> rule_counts{};  ///< successful ops per rule
   /// Geometry-cache effectiveness over the whole run: core entry and
   /// memoized closest-surface-point lookups.
@@ -159,9 +156,6 @@ class Refiner {
   [[nodiscard]] const lattice::LatticeFill* lattice() const {
     return lattice_.get();
   }
-  [[nodiscard]] const std::vector<ThreadStats>& thread_stats() const {
-    return stats_;
-  }
 
  private:
   struct PelEntry {
@@ -188,13 +182,17 @@ class Refiner {
     /// and later torn out by R6 — the paper's Phase-1 behaviour (Fig. 6).
     std::deque<PelEntry> pel_surface;
     std::deque<PelEntry> pel_volume;
+    /// The PEL an entry belongs on, by its scheduling tag.
+    std::deque<PelEntry>& pel(const PelEntry& e) {
+      return e.near_surface ? pel_surface : pel_volume;
+    }
     std::deque<VertexId> removals;
     /// Lock-free hand-off target: givers publish whole batches with one
     /// CAS reservation, this thread drains without taking a lock. A full
     /// ring rejects the batch and the giver keeps it locally — the PELs
     /// are unbounded, the transfer channel is not.
     MpscRing<PelEntry> inbox{kInboxCapacity};
-    /// Futex/condvar parker for the idle protocol's timed parks.
+    /// Mutex/condvar parker for the idle protocol's timed parks.
     ThreadParker parker;
     OpScratch scratch;
     OpScratch removal_scratch;
@@ -208,9 +206,12 @@ class Refiner {
   void distribute_new_cells(int tid, const std::vector<CellId>& created);
   void idle_protocol(int tid);
   void drain_inbox(int tid);
-  /// Unparks every worker. Every done_-setter must call this so no thread
-  /// sleeps out its park timeout before noticing termination.
-  void wake_all_workers();
+  /// Puts `e` back on its PEL and counts it as outstanding again.
+  void requeue(ThreadCtx& ctx, const PelEntry& e);
+  /// Ends the run: sets `reason` (null for normal termination), then done_,
+  /// and wakes every CM waiter and parked worker, so no thread sleeps out
+  /// its park timeout before noticing.
+  void stop(std::atomic<bool>* reason);
   void monitor();
 
   MeshingOptions opt_;

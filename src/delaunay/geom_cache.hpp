@@ -20,10 +20,12 @@
 //    claim over, writes the payload, then release-stores the ready tag.
 //    Claims are monotone in the generation, so a laggard thread holding a
 //    stale generation can never downgrade a fresher entry.
-//  * Readers follow the seqlock discipline (tag — payload — fence — tag),
-//    with payload accessed through relaxed std::atomic_ref, so a reader
-//    overlapping a writer for a *newer* generation of the same slot is
-//    race-free and detects the overlap via the re-read tag.
+//  * Readers follow the seqlock discipline (tag — payload — tag), with the
+//    payload written by release and read by acquire std::atomic_ref
+//    accesses (plain moves on x86; no fences, so ThreadSanitizer models
+//    every step), so a reader overlapping a writer for a *newer* generation
+//    of the same slot is race-free and detects the overlap via the re-read
+//    tag.
 //
 // No locks, no waiting: a thread that loses a claim or hits a miss simply
 // computes the geometry locally — the cache is an accelerator, never an
@@ -68,82 +70,55 @@ class CellGeomCache {
   /// Seqlock read of the core entry for (c, gen). True on hit. `tid` indexes
   /// the padded hit/miss counter slot (any small non-negative id works).
   bool load(CellId c, std::uint32_t gen, CoreView& out, int tid = 0) {
-    Entry& e = entry(c);
-    const std::uint64_t want_gen = std::uint64_t{gen};
-    const std::uint64_t t1 = e.tag.load(std::memory_order_acquire);
-    if ((t1 >> kCoreGenShift) != want_gen || (t1 & kReadyBit) == 0) {
-      count(tid).misses.fetch_add(1, std::memory_order_relaxed);
-      return false;
-    }
-    out.cs.center = {relaxed_load(e.cx), relaxed_load(e.cy),
-                     relaxed_load(e.cz)};
-    out.cs.radius2 = relaxed_load(e.r2);
-    out.surf_lb = relaxed_load(e.surf_lb);
-    std::atomic_thread_fence(std::memory_order_acquire);
-    if (e.tag.load(std::memory_order_relaxed) != t1) {
-      count(tid).misses.fetch_add(1, std::memory_order_relaxed);
-      return false;  // writer for a newer generation intervened
-    }
-    out.cs.valid = (t1 & kCsValidBit) != 0;
-    out.inside = (t1 & kInsideBit) != 0;
-    count(tid).hits.fetch_add(1, std::memory_order_relaxed);
+    std::array<double, 5> v;
+    std::uint64_t tag = 0;
+    const bool hit = read(entry(c).core, gen, kCoreGenShift, v, tag);
+    (hit ? count(tid).hits : count(tid).misses)
+        .fetch_add(1, std::memory_order_relaxed);
+    if (!hit) return false;
+    out.cs.center = {v[0], v[1], v[2]};
+    out.cs.radius2 = v[3];
+    out.cs.valid = (tag & kCsValidBit) != 0;
+    out.surf_lb = v[4];
+    out.inside = (tag & kInsideBit) != 0;
     return true;
   }
 
   /// Publishes the core entry for (c, gen). A no-op when another writer
   /// holds the slot or a same-or-newer generation is already present.
   void store(CellId c, std::uint32_t gen, const CoreView& v) {
-    Entry& e = entry(c);
-    if (!claim(e.tag, gen, kCoreGenShift)) return;
-    std::atomic_thread_fence(std::memory_order_release);
-    relaxed_store(e.cx, v.cs.center.x);
-    relaxed_store(e.cy, v.cs.center.y);
-    relaxed_store(e.cz, v.cs.center.z);
-    relaxed_store(e.r2, v.cs.radius2);
-    relaxed_store(e.surf_lb, v.surf_lb);
-    std::uint64_t done = (std::uint64_t{gen} << kCoreGenShift) | kReadyBit;
-    if (v.cs.valid) done |= kCsValidBit;
-    if (v.inside) done |= kInsideBit;
-    e.tag.store(done, std::memory_order_release);
+    std::uint64_t flags = 0;
+    if (v.cs.valid) flags |= kCsValidBit;
+    if (v.inside) flags |= kInsideBit;
+    publish(entry(c).core, gen, kCoreGenShift,
+            {v.cs.center.x, v.cs.center.y, v.cs.center.z, v.cs.radius2,
+             v.surf_lb},
+            flags);
   }
 
   /// Seqlock read of the memoized closest_surface_point(circumcenter) for
   /// (c, gen). True on hit; `out` is nullopt when the oracle had no surface.
   bool load_closest(CellId c, std::uint32_t gen, std::optional<Vec3>& out,
                     int tid = 0) {
-    Entry& e = entry(c);
-    const std::uint64_t t1 = e.csp_tag.load(std::memory_order_acquire);
-    if ((t1 >> kCspGenShift) != std::uint64_t{gen} || (t1 & kReadyBit) == 0) {
-      count(tid).csp_misses.fetch_add(1, std::memory_order_relaxed);
-      return false;
-    }
-    const Vec3 p{relaxed_load(e.px), relaxed_load(e.py), relaxed_load(e.pz)};
-    std::atomic_thread_fence(std::memory_order_acquire);
-    if (e.csp_tag.load(std::memory_order_relaxed) != t1) {
-      count(tid).csp_misses.fetch_add(1, std::memory_order_relaxed);
-      return false;
-    }
-    if ((t1 & kCspHasBit) != 0) {
-      out = p;
+    std::array<double, 3> v;
+    std::uint64_t tag = 0;
+    const bool hit = read(entry(c).csp, gen, kCspGenShift, v, tag);
+    (hit ? count(tid).csp_hits : count(tid).csp_misses)
+        .fetch_add(1, std::memory_order_relaxed);
+    if (!hit) return false;
+    if ((tag & kCspHasBit) != 0) {
+      out = Vec3{v[0], v[1], v[2]};
     } else {
       out = std::nullopt;
     }
-    count(tid).csp_hits.fetch_add(1, std::memory_order_relaxed);
     return true;
   }
 
   void store_closest(CellId c, std::uint32_t gen,
                      const std::optional<Vec3>& p) {
-    Entry& e = entry(c);
-    if (!claim(e.csp_tag, gen, kCspGenShift)) return;
-    std::atomic_thread_fence(std::memory_order_release);
     const Vec3 v = p.value_or(Vec3{});
-    relaxed_store(e.px, v.x);
-    relaxed_store(e.py, v.y);
-    relaxed_store(e.pz, v.z);
-    std::uint64_t done = (std::uint64_t{gen} << kCspGenShift) | kReadyBit;
-    if (p.has_value()) done |= kCspHasBit;
-    e.csp_tag.store(done, std::memory_order_release);
+    publish(entry(c).csp, gen, kCspGenShift, {v.x, v.y, v.z},
+            p.has_value() ? kCspHasBit : 0);
   }
 
   [[nodiscard]] CounterTotals totals() const {
@@ -170,13 +145,16 @@ class CellGeomCache {
 
   static constexpr std::size_t kCounterSlots = 64;
 
-  struct Entry {
+  /// One seqlocked record: a tag word and its payload.
+  template <std::size_t N>
+  struct Seq {
     std::atomic<std::uint64_t> tag{0};
-    double cx = 0, cy = 0, cz = 0;
-    double r2 = 0;
-    double surf_lb = 0;
-    std::atomic<std::uint64_t> csp_tag{0};
-    double px = 0, py = 0, pz = 0;
+    std::array<double, N> payload{};
+  };
+
+  struct Entry {
+    Seq<5> core;  ///< circumcenter x/y/z, radius², surf_lb
+    Seq<3> csp;   ///< closest surface point x/y/z
   };
 
   struct alignas(64) Slot {
@@ -186,12 +164,35 @@ class CellGeomCache {
     std::atomic<std::uint64_t> csp_misses{0};
   };
 
-  static double relaxed_load(const double& d) {
-    return std::atomic_ref(const_cast<double&>(d))
-        .load(std::memory_order_relaxed);
+  /// Seqlock read (tag — payload — tag). Acquire payload loads keep the
+  /// re-read of the tag after them; a payload word from a newer writer
+  /// synchronizes with that writer's release store, which follows its claim,
+  /// so the re-read sees the claim and reports the miss. True when the entry
+  /// for `gen` was ready and unchanged across the read; `tag` then holds it.
+  template <std::size_t N>
+  static bool read(Seq<N>& s, std::uint32_t gen, int shift,
+                   std::array<double, N>& out, std::uint64_t& tag) {
+    tag = s.tag.load(std::memory_order_acquire);
+    if ((tag >> shift) != std::uint64_t{gen} || (tag & kReadyBit) == 0) {
+      return false;
+    }
+    for (std::size_t i = 0; i < N; ++i) {
+      out[i] = std::atomic_ref(s.payload[i]).load(std::memory_order_acquire);
+    }
+    return s.tag.load(std::memory_order_relaxed) == tag;
   }
-  static void relaxed_store(double& d, double v) {
-    std::atomic_ref(d).store(v, std::memory_order_relaxed);
+
+  /// Claims `s` for `gen`, writes the payload with release stores (none can
+  /// move above the claim) and release-stores the ready tag with `flags`.
+  template <std::size_t N>
+  static void publish(Seq<N>& s, std::uint32_t gen, int shift,
+                      const std::array<double, N>& in, std::uint64_t flags) {
+    if (!claim(s.tag, gen, shift)) return;
+    for (std::size_t i = 0; i < N; ++i) {
+      std::atomic_ref(s.payload[i]).store(in[i], std::memory_order_release);
+    }
+    s.tag.store((std::uint64_t{gen} << shift) | kReadyBit | flags,
+                std::memory_order_release);
   }
 
   /// Takes the tag from an absent/ready state of a strictly older generation

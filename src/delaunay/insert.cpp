@@ -6,35 +6,6 @@
 namespace pi2m {
 namespace {
 
-/// Locks a vertex, recording newly acquired locks in scratch for rollback.
-/// Returns false (filling `held_by`) when another thread owns it.
-bool lock_vertex(DelaunayMesh& mesh, VertexId v, int tid, OpScratch& s,
-                 std::int32_t& held_by) {
-  if (mesh.vertex(v).owner.load(std::memory_order_relaxed) == tid) return true;
-  if (!mesh.try_lock_vertex(v, tid, held_by)) return false;
-  s.locked.push_back(v);
-  return true;
-}
-
-void unlock_all(DelaunayMesh& mesh, int tid, OpScratch& s) {
-  for (VertexId v : s.locked) mesh.unlock_vertex(v, tid);
-  s.locked.clear();
-}
-
-bool lock_cell_vertices(DelaunayMesh& mesh, CellId c, int tid, OpScratch& s,
-                        std::int32_t& held_by) {
-  Cell& cl = mesh.cell(c);
-  for (int i = 0; i < 4; ++i) {
-    // Acquire atomic_ref read: `c` is not locked yet, so a concurrent commit
-    // may be rewriting this (recycled) slot. Callers re-check liveness and
-    // containment after all four locks are held.
-    const VertexId vi =
-        std::atomic_ref(cl.v[i]).load(std::memory_order_acquire);
-    if (!lock_vertex(mesh, vi, tid, s, held_by)) return false;
-  }
-  return true;
-}
-
 int insphere_cell(const DelaunayMesh& mesh, CellId c, const Vec3& p) {
   const auto pos = mesh.positions(c);
   return insphere(pos[0], pos[1], pos[2], pos[3], p);
@@ -87,11 +58,11 @@ OpResult grow_and_commit(DelaunayMesh& mesh, const Vec3& p, VertexKind kind,
         continue;
       }
       std::int32_t held_by = -1;
-      if (!lock_cell_vertices(mesh, nb, tid, s, held_by)) {
+      if (!s.lock_cell_vertices(mesh, nb, tid, held_by)) {
         // The work discarded here (grown cavity) is invisible to the
         // refiner's rollback accounting; expose its size on the timeline.
         telemetry::instant("bw.abort", "op", "cavity", s.cavity.size());
-        unlock_all(mesh, tid, s);
+        s.unlock_all(mesh, tid);
         res.status = OpStatus::Conflict;
         res.conflicting_thread = held_by;
         return res;
@@ -114,7 +85,7 @@ OpResult grow_and_commit(DelaunayMesh& mesh, const Vec3& p, VertexKind kind,
   for (const OpScratch::BFace& bf : s.bfaces) {
     if (orient3d(mesh.position(bf.a), mesh.position(bf.b),
                  mesh.position(bf.c), p) <= 0) {
-      unlock_all(mesh, tid, s);
+      s.unlock_all(mesh, tid);
       res.status = OpStatus::Failed;  // p degenerate against boundary
       return res;
     }
@@ -174,7 +145,7 @@ OpResult grow_and_commit(DelaunayMesh& mesh, const Vec3& p, VertexKind kind,
   check::record_commit(check::OpKind::Insert, p,
                        static_cast<std::uint8_t>(kind),
                        static_cast<std::uint32_t>(s.cavity.size()), tid);
-  unlock_all(mesh, tid, s);
+  s.unlock_all(mesh, tid);
 
   res.status = OpStatus::Success;
   res.new_vertex = pv;
@@ -207,8 +178,8 @@ OpResult insert_point(DelaunayMesh& mesh, const Vec3& p, VertexKind kind,
       }
     }
     std::int32_t held_by = -1;
-    if (!lock_cell_vertices(mesh, loc.cell, tid, s, held_by)) {
-      unlock_all(mesh, tid, s);
+    if (!s.lock_cell_vertices(mesh, loc.cell, tid, held_by)) {
+      s.unlock_all(mesh, tid);
       res.status = OpStatus::Conflict;
       res.conflicting_thread = held_by;
       return res;
@@ -217,7 +188,7 @@ OpResult insert_point(DelaunayMesh& mesh, const Vec3& p, VertexKind kind,
       // The cell died between the walk and the lock; re-walk from an alive
       // cell near where the last walk ended (restarting from the original
       // hint — possibly long dead — would retread the same ground).
-      unlock_all(mesh, tid, s);
+      s.unlock_all(mesh, tid);
       start = any_alive_cell(mesh, loc.cell);
       continue;
     }
@@ -232,7 +203,7 @@ OpResult insert_point(DelaunayMesh& mesh, const Vec3& p, VertexKind kind,
       // The best-effort walk stopped one or more cells short (concurrent
       // restructuring): resume from where it stopped so retries make
       // progress instead of re-walking from the stale hint.
-      unlock_all(mesh, tid, s);
+      s.unlock_all(mesh, tid);
       start = loc.cell;
       continue;
     }
@@ -247,7 +218,7 @@ OpResult insert_point(DelaunayMesh& mesh, const Vec3& p, VertexKind kind,
   if (insphere_cell(mesh, c0, p) <= 0) {
     // p coincides with (or is cospherical-degenerate against) an existing
     // vertex of the containing cell: nothing sensible to insert.
-    unlock_all(mesh, tid, s);
+    s.unlock_all(mesh, tid);
     res.status = OpStatus::Failed;
     return res;
   }
@@ -265,19 +236,19 @@ OpResult insert_point_in_conflict(DelaunayMesh& mesh, const Vec3& p,
     return res;
   }
   std::int32_t held_by = -1;
-  if (!lock_cell_vertices(mesh, conflict, tid, s, held_by)) {
-    unlock_all(mesh, tid, s);
+  if (!s.lock_cell_vertices(mesh, conflict, tid, held_by)) {
+    s.unlock_all(mesh, tid);
     res.status = OpStatus::Conflict;
     res.conflicting_thread = held_by;
     return res;
   }
   if (mesh.cell_gen(conflict) != conflict_gen) {
-    unlock_all(mesh, tid, s);
+    s.unlock_all(mesh, tid);
     res.status = OpStatus::Stale;  // the cell changed under the caller
     return res;
   }
   if (insphere_cell(mesh, conflict, p) <= 0) {
-    unlock_all(mesh, tid, s);
+    s.unlock_all(mesh, tid);
     res.status = OpStatus::Failed;  // caller's conflict claim was wrong
     return res;
   }

@@ -101,6 +101,39 @@ struct OpScratch {
   [[nodiscard]] std::uint64_t cavity_mark() const { return epoch << 1; }
   [[nodiscard]] std::uint64_t outside_mark() const { return (epoch << 1) | 1; }
 
+  /// Locks `v` for `tid`, recording a newly acquired lock in `locked` for
+  /// rollback. Returns false (filling `held_by`) when another thread owns it.
+  bool lock_vertex(DelaunayMesh& mesh, VertexId v, int tid,
+                   std::int32_t& held_by) {
+    if (mesh.vertex(v).owner.load(std::memory_order_relaxed) == tid) {
+      return true;
+    }
+    if (!mesh.try_lock_vertex(v, tid, held_by)) return false;
+    locked.push_back(v);
+    return true;
+  }
+
+  /// lock_vertex on each of the four vertices of `c`.
+  bool lock_cell_vertices(DelaunayMesh& mesh, CellId c, int tid,
+                          std::int32_t& held_by) {
+    Cell& cl = mesh.cell(c);
+    for (int i = 0; i < 4; ++i) {
+      // Acquire atomic_ref read: `c` is not locked yet, so a concurrent
+      // commit may be rewriting this (recycled) slot. Callers re-check
+      // liveness and containment after all four locks are held.
+      const VertexId vi =
+          std::atomic_ref(cl.v[i]).load(std::memory_order_acquire);
+      if (!lock_vertex(mesh, vi, tid, held_by)) return false;
+    }
+    return true;
+  }
+
+  /// Releases every lock recorded in `locked`.
+  void unlock_all(DelaunayMesh& mesh, int tid) {
+    for (VertexId v : locked) mesh.unlock_vertex(v, tid);
+    locked.clear();
+  }
+
  private:
   std::uint64_t epoch_next_ = 0;
   std::uint64_t epoch_end_ = 0;

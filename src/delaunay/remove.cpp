@@ -11,39 +11,12 @@
 namespace pi2m {
 namespace {
 
-bool lock_vertex(DelaunayMesh& mesh, VertexId v, int tid, OpScratch& s,
-                 std::int32_t& held_by) {
-  if (mesh.vertex(v).owner.load(std::memory_order_relaxed) == tid) return true;
-  if (!mesh.try_lock_vertex(v, tid, held_by)) return false;
-  s.locked.push_back(v);
-  return true;
-}
-
-void unlock_all(DelaunayMesh& mesh, int tid, OpScratch& s) {
-  for (VertexId v : s.locked) mesh.unlock_vertex(v, tid);
-  s.locked.clear();
-}
-
 /// Unlocks (and unrecords) every vertex locked after position `base`.
 void unlock_from(DelaunayMesh& mesh, int tid, OpScratch& s, std::size_t base) {
   for (std::size_t i = base; i < s.locked.size(); ++i) {
     mesh.unlock_vertex(s.locked[i], tid);
   }
   s.locked.resize(base);
-}
-
-bool lock_cell_vertices(DelaunayMesh& mesh, CellId c, int tid, OpScratch& s,
-                        std::int32_t& held_by) {
-  Cell& cl = mesh.cell(c);
-  for (int i = 0; i < 4; ++i) {
-    // Acquire atomic_ref read: `c` is not locked yet, so a concurrent commit
-    // may be rewriting this (recycled) slot. Callers re-check liveness and
-    // containment after all four locks are held.
-    const VertexId vi =
-        std::atomic_ref(cl.v[i]).load(std::memory_order_acquire);
-    if (!lock_vertex(mesh, vi, tid, s, held_by)) return false;
-  }
-  return true;
 }
 
 bool cell_has_vertex(const Cell& c, VertexId v) {
@@ -58,14 +31,14 @@ OpResult remove_vertex(DelaunayMesh& mesh, VertexId pv, int tid,
   OpResult res;
 
   std::int32_t held_by = -1;
-  if (!lock_vertex(mesh, pv, tid, s, held_by)) {
+  if (!s.lock_vertex(mesh, pv, tid, held_by)) {
     res.status = OpStatus::Conflict;
     res.conflicting_thread = held_by;
     return res;
   }
   Vertex& vp = mesh.vertex(pv);
   if (vp.dead.load(std::memory_order_acquire) || vp.kind == VertexKind::Box) {
-    unlock_all(mesh, tid, s);
+    s.unlock_all(mesh, tid);
     res.status = OpStatus::Failed;
     return res;
   }
@@ -82,8 +55,8 @@ OpResult remove_vertex(DelaunayMesh& mesh, VertexId pv, int tid,
       candidate = loc.cell;
     }
     const std::size_t base = s.locked.size();
-    if (!lock_cell_vertices(mesh, candidate, tid, s, held_by)) {
-      unlock_all(mesh, tid, s);
+    if (!s.lock_cell_vertices(mesh, candidate, tid, held_by)) {
+      s.unlock_all(mesh, tid);
       res.status = OpStatus::Conflict;
       res.conflicting_thread = held_by;
       return res;
@@ -101,7 +74,7 @@ OpResult remove_vertex(DelaunayMesh& mesh, VertexId pv, int tid,
     if (candidate == kNoCell) break;
   }
   if (c0 == kNoCell) {
-    unlock_all(mesh, tid, s);
+    s.unlock_all(mesh, tid);
     res.status = OpStatus::Stale;
     return res;
   }
@@ -144,16 +117,16 @@ OpResult remove_vertex(DelaunayMesh& mesh, VertexId pv, int tid,
       if (nb == kNoCell) {
         // A face containing pv lies on the hull: pv is effectively a hull
         // vertex; refuse the removal.
-        unlock_all(mesh, tid, s);
+        s.unlock_all(mesh, tid);
         res.status = OpStatus::Failed;
         return res;
       }
       if (mesh.cell(nb).mark.load(std::memory_order_relaxed) == in_ball)
         continue;
-      if (!lock_cell_vertices(mesh, nb, tid, s, held_by)) {
+      if (!s.lock_cell_vertices(mesh, nb, tid, held_by)) {
         // Partially-gathered ball discarded: expose its size (see insert.cpp).
         telemetry::instant("bw.abort", "op", "cavity", s.cavity.size());
-        unlock_all(mesh, tid, s);
+        s.unlock_all(mesh, tid);
         res.status = OpStatus::Conflict;
         res.conflicting_thread = held_by;
         return res;
@@ -200,7 +173,7 @@ OpResult remove_vertex(DelaunayMesh& mesh, VertexId pv, int tid,
   static thread_local LocalDelaunay dt;
   dt.rebuild(pts);
   if (!dt.ok()) {
-    unlock_all(mesh, tid, s);
+    s.unlock_all(mesh, tid);
     res.status = OpStatus::Failed;
     return res;
   }
@@ -214,7 +187,7 @@ OpResult remove_vertex(DelaunayMesh& mesh, VertexId pv, int tid,
     std::sort(key.begin(), key.end());
     if (s.triple_index.find_or_insert(key, static_cast<int>(bi)) != nullptr) {
       // Two ball cells share the same opposite face: degenerate ball.
-      unlock_all(mesh, tid, s);
+      s.unlock_all(mesh, tid);
       res.status = OpStatus::Failed;
       return res;
     }
@@ -286,7 +259,7 @@ OpResult remove_vertex(DelaunayMesh& mesh, VertexId pv, int tid,
     }
   }
   if (!extract_ok) {
-    unlock_all(mesh, tid, s);
+    s.unlock_all(mesh, tid);
     res.status = OpStatus::Failed;
     return res;
   }
@@ -358,7 +331,7 @@ OpResult remove_vertex(DelaunayMesh& mesh, VertexId pv, int tid,
   check::record_commit(check::OpKind::Remove, mesh.position(pv),
                        static_cast<std::uint8_t>(vp.kind),
                        static_cast<std::uint32_t>(s.cavity.size()), tid);
-  unlock_all(mesh, tid, s);
+  s.unlock_all(mesh, tid);
 
   res.status = OpStatus::Success;
   res.new_vertex = kNoVertex;

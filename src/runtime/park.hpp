@@ -1,5 +1,4 @@
-// Per-thread parking for the adaptive idle policy (replaces raw spinning
-// on the begging-list work flag).
+// Per-thread parking for the adaptive idle policy.
 //
 // A ThreadParker is an eventcount for exactly one sleeper: the owning
 // thread calls park(timeout); any other thread calls unpark(). The state

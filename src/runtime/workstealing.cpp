@@ -183,7 +183,6 @@ class HwsBalancer final : public LoadBalancer {
 
 LoadBalancer::LoadBalancer(const Topology& topo)
     : topo_(topo),
-      flags_(static_cast<std::size_t>(topo.threads())),
       begging_(static_cast<std::size_t>(topo.threads())) {}
 
 StealLevel LoadBalancer::classify(int giver, int beggar) const {

@@ -21,10 +21,9 @@
 // threads_per_blade, so a begging thread always finds a slot in its own
 // blade.
 //
-// The actual blocking loop lives in the refiner (it must also watch its
-// inbox and the done flag); the balancer only manages membership, the
-// per-thread wake flags, begging-state tokens, and steal-locality
-// classification.
+// The actual blocking loop lives in the refiner (it watches its inbox and
+// the done flag); the balancer only manages membership, begging-state
+// tokens, and steal-locality classification.
 #pragma once
 
 #include <atomic>
@@ -53,7 +52,7 @@ class LoadBalancer {
   explicit LoadBalancer(const Topology& topo);
   virtual ~LoadBalancer() = default;
 
-  /// Registers `tid` as idle. The caller then waits on work_flag(tid)
+  /// Registers `tid` as idle. The caller then waits for work in its inbox
   /// (spin / park — see the refiner's idle protocol).
   virtual void enqueue_beggar(int tid) = 0;
 
@@ -78,10 +77,6 @@ class LoadBalancer {
     return begging_[tid].flag.load(std::memory_order_acquire);
   }
 
-  /// Set by the giver after filling the beggar's inbox; cleared by the
-  /// beggar on wake-up.
-  std::atomic<bool>& work_flag(int tid) { return flags_[tid].flag; }
-
   [[nodiscard]] const Topology& topology() const { return topo_; }
 
  protected:
@@ -99,7 +94,6 @@ class LoadBalancer {
   struct alignas(64) Flag {
     std::atomic<bool> flag{false};
   };
-  std::vector<Flag> flags_;
   std::vector<Flag> begging_;
 };
 

@@ -48,9 +48,6 @@ inline void collect_outcome(MetricsRegistry& r, const RefineOutcome& o) {
   r.set("refine.cancelled", o.cancelled);
   r.set("refine.wall_sec", o.wall_sec);
   r.set("refine.edt_sec", o.edt_sec);
-  r.set("refine.alive_cells", o.alive_cells);
-  r.set("refine.mesh_cells", o.mesh_cells);
-  r.set("refine.vertices", o.vertices);
   // rule_counts[0] is Rule::None (never fired); R1..R5 are the paper rules.
   r.set("rules.r1", o.rule_counts[1]);
   r.set("rules.r2", o.rule_counts[2]);

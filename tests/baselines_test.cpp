@@ -2,6 +2,7 @@
 
 #include "baselines/plc_mesher.hpp"
 #include "baselines/seq_mesher.hpp"
+#include "core/pi2m.hpp"
 #include "core/refiner.hpp"
 #include "imaging/phantom.hpp"
 #include "metrics/quality.hpp"
@@ -58,8 +59,10 @@ TEST(SeqMesher, ComparableSizeToPi2m) {
   sopt.delta = 2.5;
   const auto res = baselines::mesh_image_reference(img, sopt);
   ASSERT_TRUE(res.completed);
-  EXPECT_GT(res.mesh.num_tets(), out.mesh_cells / 4);
-  EXPECT_LT(res.mesh.num_tets(), out.mesh_cells * 4);
+  const std::size_t pi2m_tets =
+      extract_mesh(refiner.mesh(), refiner.oracle(), 1).num_tets();
+  EXPECT_GT(res.mesh.num_tets(), pi2m_tets / 4);
+  EXPECT_LT(res.mesh.num_tets(), pi2m_tets * 4);
 }
 
 TEST(PlcMesher, FillsVolumeFromRecoveredSurface) {

@@ -6,6 +6,7 @@
 // cell slots under the cache's feet.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <optional>
@@ -133,6 +134,85 @@ TEST(GeomCache, CountersAccumulate) {
   EXPECT_EQ(t.misses, 1u);
   EXPECT_EQ(t.csp_hits, 1u);
   EXPECT_EQ(t.csp_misses, 1u);
+}
+
+/// Seqlock stress: one writer publishes rising generations of a few slots,
+/// each payload a function of its generation; readers chase the newest
+/// published generation and check every hit against that function, so a
+/// torn or mixed read (payload words from two generations under one tag)
+/// fails. Under ThreadSanitizer every payload access is checked as well.
+TEST(GeomCache, ConcurrentReadsNeverServeTornEntries) {
+  constexpr CellId kSlots = 4;
+  constexpr std::uint32_t kLastGen = 100000;
+  const auto view_of = [](std::uint32_t gen) {
+    const double g = gen;
+    CellGeomCache::CoreView v;
+    v.cs.valid = gen % 3 != 0;
+    v.cs.center = {g, 2.0 * g + 1.0, -g};
+    v.cs.radius2 = g * g;
+    v.surf_lb = 0.5 * g;
+    v.inside = gen % 2 != 0;
+    return v;
+  };
+  const auto csp_of = [](std::uint32_t gen) -> std::optional<Vec3> {
+    if (gen % 5 == 0) return std::nullopt;
+    const double g = gen;
+    return Vec3{-g, g + 0.25, 3.0 * g};
+  };
+
+  CellGeomCache cache(64);
+  std::array<std::atomic<std::uint32_t>, kSlots> published{};
+  std::atomic<bool> writing{true};
+  std::atomic<int> torn{0};
+  std::vector<std::thread> readers;
+  for (int r = 0; r < 3; ++r) {
+    readers.emplace_back([&, r] {
+      CellGeomCache::CoreView v;
+      std::optional<Vec3> p;
+      for (CellId c = 0; writing.load(std::memory_order_acquire);
+           c = (c + 1) % kSlots) {
+        const std::uint32_t gen = published[c].load(std::memory_order_acquire);
+        if (gen == 0) continue;
+        if (cache.load(c, gen, v, r)) {
+          const CellGeomCache::CoreView want = view_of(gen);
+          if (v.cs.valid != want.cs.valid || v.inside != want.inside ||
+              v.cs.center.x != want.cs.center.x ||
+              v.cs.center.y != want.cs.center.y ||
+              v.cs.center.z != want.cs.center.z ||
+              v.cs.radius2 != want.cs.radius2 || v.surf_lb != want.surf_lb) {
+            torn.fetch_add(1);
+          }
+        }
+        if (cache.load_closest(c, gen, p, r)) {
+          const std::optional<Vec3> want = csp_of(gen);
+          if (p.has_value() != want.has_value() ||
+              (p && (p->x != want->x || p->y != want->y || p->z != want->z))) {
+            torn.fetch_add(1);
+          }
+        }
+      }
+    });
+  }
+  for (std::uint32_t gen = 1; gen <= kLastGen; ++gen) {
+    const CellId c = gen % kSlots;
+    cache.store(c, gen, view_of(gen));
+    cache.store_closest(c, gen, csp_of(gen));
+    published[c].store(gen, std::memory_order_release);
+  }
+  writing.store(false, std::memory_order_release);
+  for (std::thread& t : readers) t.join();
+  EXPECT_EQ(torn.load(), 0);
+
+  // The newest generation of every slot is served once the writer is done.
+  for (CellId c = 0; c < kSlots; ++c) {
+    const std::uint32_t gen = published[c].load();
+    CellGeomCache::CoreView v;
+    ASSERT_TRUE(cache.load(c, gen, v));
+    EXPECT_EQ(v.cs.center.y, view_of(gen).cs.center.y);
+    std::optional<Vec3> p;
+    ASSERT_TRUE(cache.load_closest(c, gen, p));
+    EXPECT_EQ(p.has_value(), csp_of(gen).has_value());
+  }
 }
 
 bool same_classification(const Classification& a, const Classification& b) {

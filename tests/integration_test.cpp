@@ -165,11 +165,14 @@ TEST(Integration, TimelineRecordsMonotonicSamples) {
   MeshingOptions opt;
   opt.threads = 4;
   opt.delta = 1.2;
-  opt.record_timeline = true;
-  opt.timeline_period_sec = 0.005;
   Refiner refiner(img, opt);
   const RefineOutcome out = refiner.refine();
   ASSERT_TRUE(out.completed);
+  // Always recorded; the final sample, taken after the join, makes the
+  // series non-empty however short the run.
+  ASSERT_FALSE(out.timeline.empty());
+  EXPECT_EQ(out.timeline.back().operations, out.totals.operations);
+  EXPECT_DOUBLE_EQ(out.timeline.back().wall_sec, out.wall_sec);
   double last_wall = -1, last_overhead = -1;
   std::uint64_t last_ops = 0;
   for (const TimelineSample& s : out.timeline) {

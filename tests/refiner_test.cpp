@@ -21,16 +21,20 @@ MeshingOptions base_options(double delta, int threads) {
   return opt;
 }
 
+/// The final mesh M of a finished run, as extraction decides it.
+TetMesh final_mesh(const Refiner& refiner) {
+  return extract_mesh(refiner.mesh(), refiner.oracle(), 1, refiner.lattice());
+}
+
 /// Quality / fidelity assertions every refined mesh must satisfy.
 void check_refined(Refiner& refiner, const RefineOutcome& out) {
   ASSERT_TRUE(out.completed) << "livelock=" << out.livelocked
                              << " budget=" << out.budget_exhausted;
-  EXPECT_GT(out.mesh_cells, 0u);
 
   DelaunayMesh& mesh = refiner.mesh();
   // Invariants: adjacency + orientation always; the full Delaunay check is
   // quadratic so only run it for small meshes.
-  const bool small = out.alive_cells < 4000;
+  const bool small = mesh.count_alive_cells() < 4000;
   EXPECT_EQ(mesh.check_integrity(small), "");
 
   // The triangulation must still tile the virtual box.
@@ -43,7 +47,8 @@ void check_refined(Refiner& refiner, const RefineOutcome& out) {
     ASSERT_EQ(mesh.vertex(v).owner.load(), -1) << "leaked lock " << v;
   }
 
-  // Quality: elements of the final mesh (circumcenter inside O) satisfy the
+  // Quality: elements of the final mesh (circumcenter inside O, counted here
+  // by a reference scan that must agree with extraction) satisfy the
   // radius-edge bound. The theory guarantees rho <= 2; floating point can
   // nudge individual elements slightly above (paper §7 notes the same), so
   // assert a small tolerance and that violations are rare.
@@ -57,7 +62,8 @@ void check_refined(Refiner& refiner, const RefineOutcome& out) {
     const double rho = radius_edge_ratio(p[0], p[1], p[2], p[3]);
     if (rho > refiner.options().radius_edge_bound * 1.05) ++rho_violations;
   });
-  EXPECT_EQ(elements, out.mesh_cells);
+  EXPECT_GT(elements, 0u);
+  EXPECT_EQ(elements, final_mesh(refiner).num_tets());
   EXPECT_LE(rho_violations, elements / 50 + 2)
       << rho_violations << " of " << elements << " elements exceed the bound";
 }
@@ -68,7 +74,7 @@ TEST(RefinerSeq, BallPhantomTerminatesWithQuality) {
   const RefineOutcome out = refiner.refine();
   check_refined(refiner, out);
   EXPECT_GT(out.rule_counts[static_cast<int>(Rule::R1)], 0u);
-  EXPECT_GT(out.vertices, 8u);
+  EXPECT_GT(final_mesh(refiner).num_points(), 8u);
 }
 
 TEST(RefinerSeq, MultiLabelShellsRecoverBothInterfaces) {
@@ -132,7 +138,7 @@ TEST(RefinerSeq, DeltaControlsMeshSize) {
   ASSERT_TRUE(of.completed);
   // Halving delta multiplies the element count by roughly 8 (volume
   // argument, paper §6.3); demand at least 3x to keep the test robust.
-  EXPECT_GT(of.mesh_cells, 3 * oc.mesh_cells);
+  EXPECT_GT(final_mesh(fine).num_tets(), 3 * final_mesh(coarse).num_tets());
 }
 
 TEST(RefinerSeq, SizeFunctionDrivesR5) {
@@ -147,7 +153,7 @@ TEST(RefinerSeq, SizeFunctionDrivesR5) {
   ASSERT_TRUE(op.completed);
   ASSERT_TRUE(os.completed);
   EXPECT_GT(os.rule_counts[static_cast<int>(Rule::R5)], 0u);
-  EXPECT_GT(os.mesh_cells, op.mesh_cells);
+  EXPECT_GT(final_mesh(sized).num_tets(), final_mesh(plain).num_tets());
 }
 
 TEST(RefinerSeq, RemovalsHappen) {

@@ -276,14 +276,6 @@ TEST(LoadBalancer, CancelRemoves) {
   EXPECT_FALSE(lb->any_beggar());
 }
 
-TEST(LoadBalancer, WorkFlagsHandshake) {
-  const Topology topo(2, {2, 2});
-  auto lb = make_load_balancer(LbKind::RWS, topo);
-  EXPECT_FALSE(lb->work_flag(1).load());
-  lb->work_flag(1).store(true);
-  EXPECT_TRUE(lb->work_flag(1).load());
-}
-
 TEST(LoadBalancer, HwsLocalityOrder) {
   // The HWS invariant: a giver always serves its own socket's BL1 first,
   // then its blade's BL2, then BL3 — regardless of begging order.
