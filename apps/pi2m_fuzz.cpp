@@ -145,7 +145,7 @@ std::vector<Vec3> points_grid(std::mt19937_64& rng, const Aabb& box,
 /// removing a fraction of its own successfully inserted vertices.
 void run_kernel_case(const Aabb& box, const std::vector<Vec3>& pts,
                      int threads, unsigned seed, CaseResult& res) {
-  DelaunayMesh mesh(box, std::size_t{1} << 18, std::size_t{1} << 21);
+  DelaunayMesh mesh(box);
   check::begin();
   std::vector<std::thread> pool;
   pool.reserve(static_cast<std::size_t>(threads));
@@ -261,8 +261,6 @@ void run_refiner_case(const LabeledImage3D& img, int threads, CmKind cm,
   opt.contention_manager = cm;
   opt.load_balancer = lb;
   opt.delta = delta;
-  opt.max_vertices = std::size_t{1} << 20;
-  opt.max_cells = std::size_t{1} << 22;
   opt.watchdog_sec = 60.0;
   opt.rng_seed = seed;
   opt.audit_final = true;

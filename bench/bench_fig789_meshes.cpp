@@ -12,8 +12,7 @@
 #include <map>
 #include <string>
 
-#include "baselines/plc_mesher.hpp"
-#include "baselines/seq_mesher.hpp"
+#include "baselines/reference_mesher.hpp"
 #include "bench_common.hpp"
 #include "io/writers.hpp"
 
@@ -47,15 +46,11 @@ void run_case(const char* name, const LabeledImage3D& img, double delta,
   const TetMesh pi2m_mesh = extract_mesh(refiner.mesh(), refiner.oracle(), 1);
   composition("PI2M (Fig 7)", pi2m_mesh);
 
-  baselines::SeqMesherOptions sopt;
-  sopt.delta = delta;
-  const auto sres = baselines::mesh_image_reference(img, sopt);
+  const auto sres = baselines::mesh_image_reference(img, opt);
   composition("SeqRef (Fig 8)", sres.mesh);
 
-  baselines::PlcMesherOptions popt;
-  popt.protect_radius = 0.9 * delta;
   const auto pres =
-      baselines::mesh_volume_from_surface(pi2m_mesh, refiner.oracle(), popt);
+      baselines::mesh_volume_from_surface(pi2m_mesh, refiner.oracle(), opt);
   composition("PLC (Fig 9)", pres.mesh);
 
   const std::string base = outdir + "/" + name;

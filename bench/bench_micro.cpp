@@ -11,6 +11,7 @@
 #include <thread>
 #include <vector>
 
+#include "core/refiner.hpp"  // MeshingOptions
 #include "core/rules.hpp"
 #include "core/spatial_grid.hpp"
 #include "delaunay/geom_cache.hpp"
@@ -114,7 +115,7 @@ BENCHMARK(BM_InsphereStageD);
 /// Shared triangulation for the locate-walk bench: 8k random points so
 /// walks are long enough for the cell-header cache misses to dominate.
 struct LocateScenario {
-  DelaunayMesh mesh{{{0, 0, 0}, {1, 1, 1}}, 1u << 16, 1u << 19};
+  DelaunayMesh mesh{{{0, 0, 0}, {1, 1, 1}}};
   std::vector<Vec3> queries = random_points(4096, 9);
   CellId hint = 0;
 
@@ -220,13 +221,13 @@ struct ClassifyScenario {
   IsosurfaceOracle oracle{img, 1};
   DelaunayMesh mesh;
   SpatialHashGrid iso_grid;
-  RefineRulesConfig cfg;
+  MeshingOptions opt;
   std::vector<CellId> cells;
 
   ClassifyScenario()
-      : mesh(img.bounds().inflated(8.0), 1u << 16, 1u << 19),
+      : mesh(img.bounds().inflated(8.0)),
         iso_grid(img.bounds().inflated(8.0), 4.0) {
-    cfg.delta = 2.0;
+    opt.delta = 2.0;
     OpScratch scratch;
     std::mt19937 rng(11);
     std::uniform_real_distribution<double> u(1.0, 31.0);
@@ -249,13 +250,14 @@ void BM_ClassifyCell(benchmark::State& state) {
   CellGeomCache cache(s.mesh.cell_capacity());
   for (const CellId c : s.cells) {
     benchmark::DoNotOptimize(
-        classify_cell(s.mesh, c, s.oracle, s.iso_grid, s.cfg, &cache, 0));
+        classify_cell(s.mesh, c, s.oracle, s.iso_grid, s.opt, nullptr, &cache,
+                      0));
   }
   std::size_t i = 0;
   for (auto _ : state) {
     benchmark::DoNotOptimize(classify_cell(s.mesh, s.cells[i % s.cells.size()],
-                                           s.oracle, s.iso_grid, s.cfg, &cache,
-                                           0));
+                                           s.oracle, s.iso_grid, s.opt, nullptr,
+                                           &cache, 0));
     ++i;
   }
 }
@@ -267,8 +269,9 @@ void BM_ClassifyCellUncached(benchmark::State& state) {
   ClassifyScenario& s = classify_scenario();
   std::size_t i = 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(classify_cell(
-        s.mesh, s.cells[i % s.cells.size()], s.oracle, s.iso_grid, s.cfg));
+    benchmark::DoNotOptimize(
+        classify_cell(s.mesh, s.cells[i % s.cells.size()], s.oracle,
+                      s.iso_grid, s.opt, nullptr));
     ++i;
   }
 }
@@ -279,7 +282,7 @@ void BM_DelaunayInsertion(benchmark::State& state) {
   const auto pts = random_points(1u << 14, 4);
   for (auto _ : state) {
     state.PauseTiming();
-    DelaunayMesh mesh({{0, 0, 0}, {1, 1, 1}}, 1u << 16, 1u << 19);
+    DelaunayMesh mesh({{0, 0, 0}, {1, 1, 1}});
     OpScratch scratch;
     state.ResumeTiming();
     CellId hint = 0;
@@ -299,7 +302,7 @@ void BM_DelaunayRemoval(benchmark::State& state) {
   const auto pts = random_points(2000, 5);
   for (auto _ : state) {
     state.PauseTiming();
-    DelaunayMesh mesh({{0, 0, 0}, {1, 1, 1}}, 1u << 16, 1u << 19);
+    DelaunayMesh mesh({{0, 0, 0}, {1, 1, 1}});
     OpScratch scratch;
     std::vector<VertexId> inserted;
     for (const Vec3& p : pts) {

@@ -11,8 +11,7 @@
 // and radius-edge ratios.
 //
 //   ./bench_table6_single [grid_size=96] [delta=0.65]
-#include "baselines/plc_mesher.hpp"
-#include "baselines/seq_mesher.hpp"
+#include "baselines/reference_mesher.hpp"
 #include "bench_common.hpp"
 #include "metrics/hausdorff.hpp"
 #include "metrics/quality.hpp"
@@ -88,11 +87,14 @@ void print_case(const char* input_name, const std::vector<ToolResult>& tools,
 void run_case(const char* name, const LabeledImage3D& img, double delta) {
   std::vector<ToolResult> tools;
 
-  // PI2M, single thread (with all its locking/CM/LB machinery active).
-  std::printf("  PI2M(1 thread)...\n");
+  // One set of knobs for the three tools: the same δ and the same ρ̄ and
+  // planar-angle bounds, as the paper compares them.
   MeshingOptions opt;
   opt.threads = 1;
   opt.delta = delta;
+
+  // PI2M, single thread (with all its locking/CM/LB machinery active).
+  std::printf("  PI2M(1 thread)...\n");
   Refiner refiner(img, opt);
   const RefineOutcome out = refiner.refine();
   ToolResult pi2m_res;
@@ -104,17 +106,13 @@ void run_case(const char* name, const LabeledImage3D& img, double delta) {
 
   // Reference sequential mesher (CGAL stand-in).
   std::printf("  reference sequential mesher...\n");
-  baselines::SeqMesherOptions sopt;
-  sopt.delta = delta;
-  const auto sres = baselines::mesh_image_reference(img, sopt);
+  const auto sres = baselines::mesh_image_reference(img, opt);
   tools.push_back({"SeqRef(CGAL-class)", sres.mesh, sres.wall_sec, true});
 
   // PLC mesher (TetGen stand-in) fed PI2M's recovered isosurface.
   std::printf("  PLC volume mesher...\n");
-  baselines::PlcMesherOptions popt;
-  popt.protect_radius = 0.9 * delta;
   const auto pres = baselines::mesh_volume_from_surface(
-      tools[0].mesh, refiner.oracle(), popt);
+      tools[0].mesh, refiner.oracle(), opt);
   ToolResult plc{"PLC(TetGen-class)", pres.mesh, pres.wall_sec, false};
   tools.push_back(std::move(plc));
 

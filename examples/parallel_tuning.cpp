@@ -3,18 +3,44 @@
 // topology, thread count — and prints the wasted-cycle breakdown (§5.5)
 // for each configuration.
 //
-//   ./parallel_tuning [grid_size] [delta] [max_threads]
+//   ./parallel_tuning [grid_size=40] [delta=1.8] [max_threads=4]
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
+#include <string>
 
 #include "core/pi2m.hpp"
 #include "imaging/phantom.hpp"
 #include "io/tables.hpp"
+#include "pipeline/job_options.hpp"
+
+namespace {
+
+/// argv[i] parsed whole and range-checked as the job flags are, or `dflt`
+/// when absent. A refused value prints why and the usage line, and exits 2.
+double arg(int argc, char** argv, int i, double dflt, double lo, double hi,
+           bool integer, bool lo_open = false) {
+  if (i >= argc) return dflt;
+  double v = 0;
+  const std::string why =
+      pi2m::parse_number(argv[i], lo, hi, integer, v, lo_open);
+  if (why.empty()) return v;
+  std::fprintf(stderr,
+               "%s\nusage: parallel_tuning [grid_size=40] [delta=1.8] "
+               "[max_threads=4]\n",
+               why.c_str());
+  std::exit(2);
+}
+
+}  // namespace
 
 int main(int argc, char** argv) {
-  const int n = argc > 1 ? std::atoi(argv[1]) : 40;
-  const double delta = argc > 2 ? std::atof(argv[2]) : 1.8;
-  const int max_threads = argc > 3 ? std::atoi(argv[3]) : 4;
+  const int n = static_cast<int>(arg(argc, argv, 1, 40, 2, 4096, true));
+  const double delta = arg(argc, argv, 2, 1.8, 0,
+                           std::numeric_limits<double>::infinity(), false,
+                           /*lo_open=*/true);
+  const int max_threads = static_cast<int>(
+      arg(argc, argv, 3, 4, 1, pi2m::kMaxJobThreads, true));
 
   const pi2m::LabeledImage3D img = pi2m::phantom::abdominal(n, n, n);
 
@@ -62,9 +88,5 @@ int main(int argc, char** argv) {
     }
   }
   table.print();
-  std::printf(
-      "\nNote: this host exposes one physical core; thread counts above it\n"
-      "exercise the concurrency control (rollbacks, CM waits, begging-list\n"
-      "traffic) without wall-clock speedup. See EXPERIMENTS.md.\n");
   return 0;
 }

@@ -29,7 +29,7 @@ PosKey pos_key(const Vec3& p) {
 ReplayResult replay_oplog(const Aabb& box, const std::vector<OpRecord>& log,
                           const ReplayOptions& opts) {
   ReplayResult res;
-  DelaunayMesh mesh(box, opts.max_vertices, opts.max_cells);
+  DelaunayMesh mesh(box);
   InvariantAuditor auditor(mesh, opts.insphere_sample);
   OpScratch scratch;
   constexpr int kTid = 0;

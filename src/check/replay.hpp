@@ -35,9 +35,6 @@ struct ReplayOptions {
   std::uint32_t audit_every = 0;
   /// Insphere sampling rate for the audits (see InvariantAuditor).
   std::uint32_t insphere_sample = 8;
-  /// Capacity of the replay mesh.
-  std::size_t max_vertices = 1u << 20;
-  std::size_t max_cells = 1u << 22;
 };
 
 struct ReplayResult {

@@ -40,8 +40,6 @@ TimelineSample timeline_sample(const StatsTotals& t, double wall_sec) {
 Refiner::Refiner(const LabeledImage3D& img, MeshingOptions opt,
                  std::shared_ptr<const IsosurfaceOracle> warm_oracle)
     : opt_(opt),
-      rules_{opt.delta, opt.radius_edge_bound, opt.min_planar_angle_deg,
-             opt.size_function, opt.removal_factor, nullptr},
       img_(&img),
       topo_(std::max(1, opt.threads), opt.topology),
       stats_(static_cast<std::size_t>(std::max(1, opt.threads))) {
@@ -63,8 +61,7 @@ Refiner::Refiner(const LabeledImage3D& img, MeshingOptions opt,
 
   const Aabb ib = img.bounds();
   const Aabb box = ib.inflated(kBoxMarginFrac * norm(ib.extent()));
-  mesh_ = std::make_unique<DelaunayMesh>(box, opt_.max_vertices,
-                                         opt_.max_cells, kArenaBlock);
+  mesh_ = std::make_unique<DelaunayMesh>(box, kArenaBlock);
   geom_cache_ = std::make_unique<CellGeomCache>(mesh_->cell_capacity());
 
   // Cell size = 2x query radius: a query ball overlaps at most 8 cells.
@@ -204,8 +201,8 @@ void Refiner::handle_insertion(int tid, const PelEntry& e) {
   // marks entries that classified clean (no operation attempted).
   telemetry::Span op_span("op.insert", "op");
   const Classification cls =
-      classify_cell(*mesh_, e.cell, *oracle_, *iso_grid_, rules_,
-                    geom_cache_.get(), tid);
+      classify_cell(*mesh_, e.cell, *oracle_, *iso_grid_, opt_,
+                    lattice_.get(), geom_cache_.get(), tid);
   op_span.set_arg("rule", static_cast<std::uint64_t>(cls.rule));
   if (cls.rule == Rule::None) return;
 
@@ -495,7 +492,6 @@ RefineOutcome Refiner::refine() {
       for (auto& c : ctxs_) scratch.push_back(&c->scratch);
       lattice_seed_deferred = lattice_->seed_interface(*mesh_, scratch);
       lattice_seed_sec = now_sec() - t0;
-      rules_.lattice = lattice_.get();
     }
   }
 

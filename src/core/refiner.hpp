@@ -19,6 +19,7 @@
 #include <vector>
 
 #include "core/rules.hpp"
+#include "core/sizing.hpp"
 #include "core/spatial_grid.hpp"
 #include "delaunay/operations.hpp"
 #include "imaging/isosurface.hpp"
@@ -68,9 +69,7 @@ struct MeshingOptions {
   /// random choices reproducible for fuzzing and failure replay.
   std::uint64_t rng_seed = 0;
 
-  // ---- capacities and safety valves ----
-  std::size_t max_vertices = std::size_t{1} << 22;
-  std::size_t max_cells = std::size_t{1} << 24;
+  // ---- safety valves ----
   /// Abort (budget_exhausted) after this many successful operations.
   /// Termination is expected well before (paper [7,8]).
   std::uint64_t op_budget = std::uint64_t{1} << 40;
@@ -215,9 +214,6 @@ class Refiner {
   void monitor();
 
   MeshingOptions opt_;
-  /// The rule thresholds from opt_, plus the lattice guard once refine()
-  /// has built the fill.
-  RefineRulesConfig rules_;
   const LabeledImage3D* img_;
   /// Shared so the serving layer's EDT cache can hand one immutable oracle
   /// to many concurrent refiners; solo runs own theirs exclusively.
@@ -233,7 +229,9 @@ class Refiner {
   std::vector<ThreadStats> stats_;
   std::vector<std::unique_ptr<ThreadCtx>> ctxs_;
 
-  std::atomic<bool> done_{false};
+  // Run state, written by every operation: its own cache lines, so the
+  // read-mostly members above (ctxs_, mesh_, ...) never share one with it.
+  alignas(64) std::atomic<bool> done_{false};
   std::atomic<bool> livelocked_{false};
   std::atomic<bool> budget_exhausted_{false};
   std::atomic<bool> cancelled_{false};

@@ -2,6 +2,7 @@
 
 #include <cmath>
 
+#include "core/refiner.hpp"  // MeshingOptions
 #include "geometry/tetra.hpp"
 #include "lattice/lattice_fill.hpp"
 
@@ -60,7 +61,8 @@ bool core_of(const DelaunayMesh& mesh, CellId c, std::uint32_t gen,
 Classification classify_cell(const DelaunayMesh& mesh, CellId c,
                              const IsosurfaceOracle& oracle,
                              const SpatialHashGrid& iso_grid,
-                             const RefineRulesConfig& cfg,
+                             const MeshingOptions& opt,
+                             const lattice::LatticeFill* fill,
                              CellGeomCache* cache, int tid) {
   Classification out;
   const std::uint32_t gen = mesh.cell_gen(c);
@@ -82,9 +84,8 @@ Classification classify_cell(const DelaunayMesh& mesh, CellId c,
   // the lattice guard zone is suppressed (falls through to the next rule).
   // R1/R3 surface points are geometrically outside the zone, so only
   // quality/sizing refinement is muted near the structured interface.
-  const lattice::LatticeFill* lat = cfg.lattice;
-  const auto allowed = [lat](const Vec3& p) {
-    return lat == nullptr || !lat->protects(p);
+  const auto allowed = [fill](const Vec3& p) {
+    return fill == nullptr || !fill->protects(p);
   };
 
   // --- fidelity rules R1 / R2 -----------------------------------------
@@ -99,13 +100,13 @@ Classification classify_cell(const DelaunayMesh& mesh, CellId c,
       if (cache != nullptr) cache->store_closest(c, gen, zhat);
     }
     if (zhat.has_value() && distance(cs.center, *zhat) <= r) {
-      if (!iso_grid.any_within(*zhat, cfg.delta) && allowed(*zhat)) {
+      if (!iso_grid.any_within(*zhat, opt.delta) && allowed(*zhat)) {
         out.rule = Rule::R1;
         out.point = *zhat;
         out.kind = VertexKind::Isosurface;
         return out;
       }
-      if (r > 2.0 * cfg.delta && allowed(cs.center)) {
+      if (r > 2.0 * opt.delta && allowed(cs.center)) {
         out.rule = Rule::R2;
         out.point = cs.center;
         out.kind = VertexKind::Circumcenter;
@@ -150,7 +151,7 @@ Classification classify_cell(const DelaunayMesh& mesh, CellId c,
     const Vec3& fb = mesh.position(fv[1]);
     const Vec3& fc = mesh.position(fv[2]);
     const bool bad_angle =
-        min_triangle_angle(fa, fb, fc) < cfg.min_planar_angle_deg;
+        min_triangle_angle(fa, fb, fc) < opt.min_planar_angle_deg;
     const bool off_surface = !on_surface(mesh.vertex(fv[0]).kind) ||
                              !on_surface(mesh.vertex(fv[1]).kind) ||
                              !on_surface(mesh.vertex(fv[2]).kind);
@@ -158,7 +159,7 @@ Classification classify_cell(const DelaunayMesh& mesh, CellId c,
 
     // Degeneracy guard: a surface-center (numerically) on top of a facet
     // vertex cannot make progress.
-    const double guard = 1e-3 * cfg.delta;
+    const double guard = 1e-3 * opt.delta;
     if (distance(*hit, fa) < guard || distance(*hit, fb) < guard ||
         distance(*hit, fc) < guard) {
       continue;
@@ -177,14 +178,15 @@ Classification classify_cell(const DelaunayMesh& mesh, CellId c,
 
   const auto pos = mesh.positions(c);
   const double shortest = shortest_edge(pos[0], pos[1], pos[2], pos[3]);
-  if (shortest > 0.0 && r / shortest > cfg.rho_bound &&
+  if (shortest > 0.0 && r / shortest > opt.radius_edge_bound &&
       allowed(cs.center)) {
     out.rule = Rule::R4;
     out.point = cs.center;
     out.kind = VertexKind::Circumcenter;
     return out;
   }
-  if (cfg.size_fn && r > cfg.size_fn(cs.center) && allowed(cs.center)) {
+  if (opt.size_function && r > opt.size_function(cs.center) &&
+      allowed(cs.center)) {
     out.rule = Rule::R5;
     out.point = cs.center;
     out.kind = VertexKind::Circumcenter;

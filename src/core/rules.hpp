@@ -16,13 +16,14 @@
 
 #include <cstdint>
 
-#include "core/sizing.hpp"
 #include "core/spatial_grid.hpp"
 #include "delaunay/geom_cache.hpp"
 #include "delaunay/mesh.hpp"
 #include "imaging/isosurface.hpp"
 
 namespace pi2m {
+
+struct MeshingOptions;
 
 namespace lattice {
 class LatticeFill;
@@ -32,30 +33,25 @@ enum class Rule : std::uint8_t { None = 0, R1, R2, R3, R4, R5 };
 
 const char* to_string(Rule r);
 
-struct RefineRulesConfig {
-  double delta = 2.0;                  ///< surface sample spacing (R1/R2/R6)
-  double rho_bound = 2.0;              ///< radius-edge bound (R4)
-  double min_planar_angle_deg = 30.0;  ///< boundary facet angle bound (R3)
-  SizeFunction size_fn;                ///< optional sizing field (R5)
-  double removal_factor = 2.0;         ///< R6 radius = removal_factor * delta
-  /// Hybrid interior fill: when non-null, no rule may insert a point inside
-  /// the lattice guard zone (LatticeFill::protects) — refinement must never
-  /// encroach the structured region or its interface circumspheres. A
-  /// blocked rule falls through to the next one; a cell with every
-  /// applicable rule blocked classifies as Rule::None (no requeue, so
-  /// termination is preserved). Surface points (R1/R3) are never blocked:
-  /// the occupancy band keeps the guard zone >= 2δ away from ∂O.
-  const lattice::LatticeFill* lattice = nullptr;
-};
-
 struct Classification {
   Rule rule = Rule::None;
   Vec3 point{};          ///< the point the rule inserts
   VertexKind kind = VertexKind::Circumcenter;
 };
 
-/// Classifies an alive cell against R1-R5 in paper order. `iso_grid` holds
-/// the already-inserted surface vertices (for R1's packing check).
+/// Classifies an alive cell against R1-R5 in paper order, with the rule
+/// thresholds of `opt` (delta, radius_edge_bound, min_planar_angle_deg,
+/// size_function). `iso_grid` holds the already-inserted surface vertices
+/// (for R1's packing check).
+///
+/// Hybrid interior fill: when `fill` is non-null, no rule may insert a
+/// point inside the lattice guard zone (LatticeFill::protects), so
+/// refinement never encroaches the structured region or its interface
+/// circumspheres. A blocked rule falls through to the next one; a cell with
+/// every applicable rule blocked classifies as Rule::None (no requeue, so
+/// termination is preserved). Surface points (R1/R3) are never blocked: the
+/// occupancy band keeps the guard zone >= 2δ away from ∂O.
+///
 /// Safe to call without holding locks: positions are immutable, and a
 /// misclassification caused by concurrent restructuring at worst schedules
 /// an unnecessary (harmless) point or is re-checked at operation time.
@@ -70,7 +66,8 @@ struct Classification {
 Classification classify_cell(const DelaunayMesh& mesh, CellId c,
                              const IsosurfaceOracle& oracle,
                              const SpatialHashGrid& iso_grid,
-                             const RefineRulesConfig& cfg,
+                             const MeshingOptions& opt,
+                             const lattice::LatticeFill* fill,
                              CellGeomCache* cache = nullptr, int tid = 0);
 
 }  // namespace pi2m

@@ -10,6 +10,9 @@
 namespace pi2m {
 namespace {
 
+/// Step fraction toward the neighbours' centroid.
+constexpr double kRelaxation = 0.5;
+
 struct VertexTopology {
   std::vector<std::vector<std::uint32_t>> incident_tets;
   std::vector<std::vector<std::uint32_t>> neighbours;          // all
@@ -116,7 +119,6 @@ SmoothingReport smooth_mesh(TetMesh& mesh, const IsosurfaceOracle& oracle,
       for (std::size_t v = b; v < e; ++v) {
         const bool boundary = topo.on_boundary[v] != 0;
         if (boundary && !opt.smooth_surface) continue;
-        if (!boundary && !opt.smooth_interior) continue;
         const auto& nbrs =
             boundary ? topo.surface_neighbours[v] : topo.neighbours[v];
         if (nbrs.size() < 3 || topo.incident_tets[v].empty()) continue;
@@ -124,8 +126,8 @@ SmoothingReport smooth_mesh(TetMesh& mesh, const IsosurfaceOracle& oracle,
         Vec3 centroid{0, 0, 0};
         for (const std::uint32_t w : nbrs) centroid += mesh.points[w];
         centroid = centroid / static_cast<double>(nbrs.size());
-        Vec3 target = mesh.points[v] +
-                      opt.relaxation * (centroid - mesh.points[v]);
+        Vec3 target =
+            mesh.points[v] + kRelaxation * (centroid - mesh.points[v]);
         if (boundary) {
           // Keep the fidelity guarantee: boundary vertices stay on ∂O.
           const auto q = oracle.closest_surface_point(target);

@@ -26,11 +26,10 @@
 
 namespace pi2m {
 
+/// Every pass moves each vertex half way toward its neighbours' centroid.
 struct SmoothingOptions {
   int iterations = 3;
-  double relaxation = 0.5;  ///< step fraction toward the centroid
-  bool smooth_surface = true;
-  bool smooth_interior = true;
+  bool smooth_surface = true;  ///< false keeps boundary vertices fixed
   int threads = 1;
 };
 

@@ -65,7 +65,7 @@ class CellGeomCache {
 
   /// Sized to the mesh's cell-slot capacity; chunks allocate on first touch
   /// (mirroring the cell arena), so memory tracks the live slot range.
-  explicit CellGeomCache(std::size_t max_cells) : entries_(max_cells) {}
+  explicit CellGeomCache(std::size_t capacity) : entries_(capacity) {}
 
   /// Seqlock read of the core entry for (c, gen). True on hit. `tid` indexes
   /// the padded hit/miss counter slot (any small non-negative id works).

@@ -22,12 +22,11 @@ std::uint64_t acquire_epoch_block(std::uint64_t count) {
 
 }  // namespace detail
 
-DelaunayMesh::DelaunayMesh(const Aabb& box, std::size_t max_vertices,
-                           std::size_t max_cells, std::uint32_t arena_block)
+DelaunayMesh::DelaunayMesh(const Aabb& box, std::uint32_t arena_block)
     : box_(box),
-      vertices_(max_vertices),
-      positions_(max_vertices),
-      cells_(max_cells),
+      vertices_(kMaxVertices),
+      positions_(kMaxVertices),
+      cells_(kMaxCells),
       arena_block_(std::clamp<std::uint32_t>(
           arena_block, 1, ChunkArray<Cell>::kChunkSize)) {
   PI2M_CHECK(box.hi.x > box.lo.x && box.hi.y > box.lo.y && box.hi.z > box.lo.z,

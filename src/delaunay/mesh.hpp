@@ -95,12 +95,13 @@ constexpr std::array<std::array<int, 3>, 4> kFaceOf{{
 template <typename T>
 class ChunkedStore {
  public:
-  explicit ChunkedStore(std::size_t max_elems) : elems_(max_elems) {}
+  explicit ChunkedStore(std::size_t capacity) : elems_(capacity) {}
 
   /// Allocates one default-constructed element; thread-safe.
   std::uint32_t allocate() {
     const std::uint32_t id = count_.fetch_add(1, std::memory_order_relaxed);
-    PI2M_CHECK(id < capacity(), "arena capacity exceeded (raise MeshingOptions limits)");
+    PI2M_CHECK(id < capacity(),
+               "arena capacity exceeded (DelaunayMesh::kMaxVertices/kMaxCells)");
     elems_.ensure(id);
     return id;
   }
@@ -114,8 +115,9 @@ class ChunkedStore {
     std::uint32_t cur = count_.load(std::memory_order_relaxed);
     std::uint32_t grant;
     do {
-      PI2M_CHECK(cur < capacity(),
-                 "arena capacity exceeded (raise MeshingOptions limits)");
+      PI2M_CHECK(
+          cur < capacity(),
+          "arena capacity exceeded (DelaunayMesh::kMaxVertices/kMaxCells)");
       grant = static_cast<std::uint32_t>(
           std::min<std::size_t>(want, capacity() - cur));
     } while (!count_.compare_exchange_weak(cur, cur + grant,
@@ -161,14 +163,19 @@ struct VertexBlock {
 
 class DelaunayMesh {
  public:
+  /// Arena capacities. Chunks install lazily (ChunkArray), so a capacity
+  /// only sizes the chunk directories; the refiner and the op-log replayer
+  /// share these by construction.
+  static constexpr std::size_t kMaxVertices = std::size_t{1} << 22;
+  static constexpr std::size_t kMaxCells = std::size_t{1} << 24;
+
   /// Builds the virtual box enclosing `box`, triangulated into 6 tetrahedra
   /// (paper Fig. 1a) — the only sequential step of the algorithm.
   /// `arena_block` is the per-thread bump-block size used by allocate_cell /
   /// the block create_vertex overload; 1 (the default) reserves slots one at
   /// a time, which is what direct constructions (tests, tools) want — the
   /// refiner passes a larger block sized to its thread count.
-  DelaunayMesh(const Aabb& box, std::size_t max_vertices,
-               std::size_t max_cells, std::uint32_t arena_block = 1);
+  explicit DelaunayMesh(const Aabb& box, std::uint32_t arena_block = 1);
 
   [[nodiscard]] const Aabb& box() const { return box_; }
 

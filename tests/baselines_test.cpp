@@ -1,9 +1,8 @@
 #include <gtest/gtest.h>
 
-#include "baselines/plc_mesher.hpp"
-#include "baselines/seq_mesher.hpp"
+#include "baselines/reference_mesher.hpp"
 #include "core/pi2m.hpp"
-#include "core/refiner.hpp"
+#include "core/sizing.hpp"
 #include "imaging/phantom.hpp"
 #include "metrics/quality.hpp"
 
@@ -12,9 +11,9 @@ namespace {
 
 TEST(SeqMesher, BallPhantomTerminatesWithQuality) {
   const LabeledImage3D img = phantom::ball(24, 0.7);
-  baselines::SeqMesherOptions opt;
+  MeshingOptions opt;
   opt.delta = 2.5;
-  const baselines::SeqMesherResult res =
+  const baselines::ReferenceResult res =
       baselines::mesh_image_reference(img, opt);
   ASSERT_TRUE(res.completed);
   EXPECT_GT(res.mesh.num_tets(), 50u);
@@ -31,7 +30,7 @@ TEST(SeqMesher, BallPhantomTerminatesWithQuality) {
 
 TEST(SeqMesher, MultiLabelImage) {
   const LabeledImage3D img = phantom::concentric_shells(20);
-  baselines::SeqMesherOptions opt;
+  MeshingOptions opt;
   opt.delta = 2.5;
   const auto res = baselines::mesh_image_reference(img, opt);
   ASSERT_TRUE(res.completed);
@@ -46,18 +45,16 @@ TEST(SeqMesher, MultiLabelImage) {
 
 TEST(SeqMesher, ComparableSizeToPi2m) {
   // The stand-in must produce meshes in the same size class as PI2M for
-  // the same delta, otherwise Table 6's "similar size" protocol is broken.
+  // the same knobs, otherwise Table 6's "similar size" protocol is broken.
   const LabeledImage3D img = phantom::ball(24, 0.7);
-  MeshingOptions popt;
-  popt.threads = 1;
-  popt.delta = 2.5;
-  Refiner refiner(img, popt);
+  MeshingOptions opt;
+  opt.threads = 1;
+  opt.delta = 2.5;
+  Refiner refiner(img, opt);
   const RefineOutcome out = refiner.refine();
   ASSERT_TRUE(out.completed);
 
-  baselines::SeqMesherOptions sopt;
-  sopt.delta = 2.5;
-  const auto res = baselines::mesh_image_reference(img, sopt);
+  const auto res = baselines::mesh_image_reference(img, opt);
   ASSERT_TRUE(res.completed);
   const std::size_t pi2m_tets =
       extract_mesh(refiner.mesh(), refiner.oracle(), 1).num_tets();
@@ -75,10 +72,8 @@ TEST(PlcMesher, FillsVolumeFromRecoveredSurface) {
   ASSERT_TRUE(refiner.refine().completed);
   const TetMesh surface = extract_mesh(refiner.mesh(), refiner.oracle(), 1);
 
-  baselines::PlcMesherOptions opt;
-  opt.protect_radius = 1.5;
   const auto res =
-      baselines::mesh_volume_from_surface(surface, refiner.oracle(), opt);
+      baselines::mesh_volume_from_surface(surface, refiner.oracle(), popt);
   ASSERT_TRUE(res.completed);
   EXPECT_GT(res.mesh.num_tets(), 50u);
 
@@ -92,9 +87,45 @@ TEST(PlcMesher, FillsVolumeFromRecoveredSurface) {
 TEST(PlcMesher, EmptySurfaceYieldsNothingUseful) {
   const LabeledImage3D img = phantom::ball(16, 0.6);
   const IsosurfaceOracle oracle(img, 1);
-  baselines::PlcMesherOptions opt;
+  MeshingOptions opt;
+  opt.delta = 2.5;
   const auto res = baselines::mesh_volume_from_surface(TetMesh{}, oracle, opt);
   EXPECT_TRUE(res.completed);  // terminates; box corners only
+}
+
+TEST(Baselines, StandInsHonourTheSizeFunction) {
+  // The stand-ins read R5's sizing field from the same MeshingOptions as
+  // PI2M: a uniform bound below the unconstrained circumradii refines more.
+  const LabeledImage3D img = phantom::ball(24, 0.7);
+  MeshingOptions opt;
+  opt.threads = 1;
+  opt.delta = 2.5;
+  const MeshingResult pi2m = mesh_image(img, opt);
+  ASSERT_TRUE(pi2m.ok());
+  MeshingOptions sized = opt;
+  sized.size_function = sizing::uniform(2.0);
+
+  const auto seq = baselines::mesh_image_reference(img, opt);
+  const auto seq_sized = baselines::mesh_image_reference(img, sized);
+  ASSERT_TRUE(seq.completed && seq_sized.completed);
+  EXPECT_GT(seq_sized.mesh.num_tets(), seq.mesh.num_tets());
+
+  const auto plc =
+      baselines::mesh_volume_from_surface(pi2m.mesh, *pi2m.oracle, opt);
+  const auto plc_sized =
+      baselines::mesh_volume_from_surface(pi2m.mesh, *pi2m.oracle, sized);
+  ASSERT_TRUE(plc.completed && plc_sized.completed);
+  EXPECT_GT(plc_sized.mesh.num_tets(), plc.mesh.num_tets());
+}
+
+TEST(BaselinesDeath, StandInsRefuseAMissingDelta) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  const LabeledImage3D img = phantom::ball(16, 0.6);
+  const IsosurfaceOracle oracle(img, 1);
+  const MeshingOptions opt;  // delta left at 0, as the Refiner refuses
+  EXPECT_DEATH(baselines::mesh_image_reference(img, opt), "delta");
+  EXPECT_DEATH(baselines::mesh_volume_from_surface(TetMesh{}, oracle, opt),
+               "delta");
 }
 
 }  // namespace

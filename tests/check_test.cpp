@@ -266,7 +266,7 @@ std::vector<VertexId> insert_random(DelaunayMesh& mesh, std::uint64_t seed,
 
 TEST(Oplog, HookIsQuietWithoutSession) {
   const std::size_t before = check::record_count();
-  DelaunayMesh mesh(test_box(), 1 << 12, 1 << 14);
+  DelaunayMesh mesh(test_box());
   OpScratch scratch;
   insert_random(mesh, 1, 20, /*tid=*/0, scratch);
   EXPECT_FALSE(check::active());
@@ -274,7 +274,7 @@ TEST(Oplog, HookIsQuietWithoutSession) {
 }
 
 TEST(Oplog, RecordsCommitsInSequenceOrder) {
-  DelaunayMesh mesh(test_box(), 1 << 12, 1 << 14);
+  DelaunayMesh mesh(test_box());
   OpScratch scratch;
   check::begin();
   const auto ids = insert_random(mesh, 2, 50, /*tid=*/0, scratch);
@@ -302,7 +302,7 @@ TEST(Oplog, RecordsCommitsInSequenceOrder) {
 }
 
 TEST(Oplog, SaveLoadRoundTrip) {
-  DelaunayMesh mesh(test_box(), 1 << 12, 1 << 14);
+  DelaunayMesh mesh(test_box());
   OpScratch scratch;
   check::begin();
   insert_random(mesh, 3, 25, /*tid=*/0, scratch);
@@ -336,8 +336,8 @@ TEST(Snapshot, CanonicalFormErasesInsertionOrder) {
   std::vector<Vec3> pts;
   for (int i = 0; i < 40; ++i) pts.push_back({u(rng), u(rng), u(rng)});
 
-  DelaunayMesh fwd(test_box(), 1 << 12, 1 << 14);
-  DelaunayMesh rev(test_box(), 1 << 12, 1 << 14);
+  DelaunayMesh fwd(test_box());
+  DelaunayMesh rev(test_box());
   OpScratch s1, s2;
   for (const Vec3& p : pts) {
     ASSERT_EQ(insert_point(fwd, p, VertexKind::Circumcenter, 0, 0, s1).status,
@@ -363,7 +363,7 @@ TEST(Snapshot, CanonicalFormErasesInsertionOrder) {
 }
 
 TEST(Replay, SingleThreadRunReplaysByteIdentical) {
-  DelaunayMesh mesh(test_box(), 1 << 12, 1 << 14);
+  DelaunayMesh mesh(test_box());
   OpScratch scratch;
   check::begin();
   const auto ids = insert_random(mesh, 11, 120, /*tid=*/0, scratch);
@@ -384,7 +384,7 @@ TEST(Replay, SingleThreadRunReplaysByteIdentical) {
 }
 
 TEST(Replay, FourThreadRunReplaysByteIdentical) {
-  DelaunayMesh mesh(test_box(), 1 << 14, 1 << 16);
+  DelaunayMesh mesh(test_box());
   constexpr int kThreads = 4;
   check::begin();
   std::vector<std::thread> workers;
@@ -437,7 +437,7 @@ TEST(Replay, FourThreadRunReplaysByteIdentical) {
 // ---------------------------------------------------------------------------
 
 TEST(Auditor, CleanMeshPassesFullAudit) {
-  DelaunayMesh mesh(test_box(), 1 << 12, 1 << 14);
+  DelaunayMesh mesh(test_box());
   OpScratch scratch;
   insert_random(mesh, 21, 200, /*tid=*/0, scratch);
   check::InvariantAuditor auditor(mesh, /*insphere_sample=*/2);
@@ -453,7 +453,7 @@ TEST(Auditor, CleanMeshPassesFullAudit) {
 }
 
 TEST(Auditor, DetectsSeveredAdjacency) {
-  DelaunayMesh mesh(test_box(), 1 << 12, 1 << 14);
+  DelaunayMesh mesh(test_box());
   OpScratch scratch;
   insert_random(mesh, 22, 100, /*tid=*/0, scratch);
 
@@ -486,7 +486,7 @@ TEST(Auditor, DetectsSeveredAdjacency) {
 }
 
 TEST(Auditor, DetectsDeadVertexReference) {
-  DelaunayMesh mesh(test_box(), 1 << 12, 1 << 14);
+  DelaunayMesh mesh(test_box());
   OpScratch scratch;
   const auto ids = insert_random(mesh, 23, 50, /*tid=*/0, scratch);
 
@@ -507,8 +507,6 @@ TEST(RefinerCheck, FinalAuditCleanOnPhantom) {
   MeshingOptions opt;
   opt.threads = 2;
   opt.delta = 3.0;
-  opt.max_vertices = std::size_t{1} << 20;
-  opt.max_cells = std::size_t{1} << 22;
   opt.watchdog_sec = 60.0;
   opt.audit_final = true;
   opt.rng_seed = 42;

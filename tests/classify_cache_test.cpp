@@ -14,6 +14,7 @@
 #include <thread>
 #include <vector>
 
+#include "core/refiner.hpp"  // MeshingOptions
 #include "core/rules.hpp"
 #include "core/spatial_grid.hpp"
 #include "delaunay/geom_cache.hpp"
@@ -235,10 +236,10 @@ TEST_P(CacheCoherence, CachedClassifyMatchesFresh) {
   const LabeledImage3D img = phantom::random_blobs(20, 77, 3, 2);
   const IsosurfaceOracle oracle(img, 1);
   const Aabb box = img.bounds().inflated(6.0);
-  DelaunayMesh mesh(box, 1u << 16, 1u << 19);
+  DelaunayMesh mesh(box);
   SpatialHashGrid iso_grid(box, 4.0);
-  RefineRulesConfig cfg;
-  cfg.delta = 2.0;
+  MeshingOptions opt;
+  opt.delta = 2.0;
   CellGeomCache cache(mesh.cell_capacity());
 
   // Every planned operation is retried until it commits or fails for good
@@ -296,7 +297,8 @@ TEST_P(CacheCoherence, CachedClassifyMatchesFresh) {
         // this races with other threads retiring/recycling those slots,
         // which is exactly what the generation tags must survive.
         for (const CellId c : s.created) {
-          (void)classify_cell(mesh, c, oracle, iso_grid, cfg, &cache, t);
+          (void)classify_cell(mesh, c, oracle, iso_grid, opt, nullptr, &cache,
+                              t);
         }
       }
     });
@@ -316,13 +318,13 @@ TEST_P(CacheCoherence, CachedClassifyMatchesFresh) {
   std::size_t checked = 0;
   mesh.for_each_alive_cell([&](CellId c) {
     const Classification fresh =
-        classify_cell(mesh, c, oracle, iso_grid, cfg);
+        classify_cell(mesh, c, oracle, iso_grid, opt, nullptr);
     // First cached pass may hit entries published during the churn; the
     // second is guaranteed warm. Both must agree with the fresh result.
     const Classification cached1 =
-        classify_cell(mesh, c, oracle, iso_grid, cfg, &cache, 0);
+        classify_cell(mesh, c, oracle, iso_grid, opt, nullptr, &cache, 0);
     const Classification cached2 =
-        classify_cell(mesh, c, oracle, iso_grid, cfg, &cache, 0);
+        classify_cell(mesh, c, oracle, iso_grid, opt, nullptr, &cache, 0);
     EXPECT_TRUE(same_classification(cached1, fresh))
         << "cell " << c << ": cached rule " << to_string(cached1.rule)
         << " vs fresh " << to_string(fresh.rule);

@@ -28,7 +28,7 @@ namespace {
 Aabb unit_box() { return {{0, 0, 0}, {1, 1, 1}}; }
 
 TEST(Mesh, InitialBoxIsSixTets) {
-  DelaunayMesh mesh(unit_box(), 1000, 1000);
+  DelaunayMesh mesh(unit_box());
   EXPECT_EQ(mesh.count_alive_cells(), 6u);
   EXPECT_EQ(mesh.vertex_count(), 8u);
   EXPECT_NEAR(mesh.total_volume(), 1.0, 1e-12);
@@ -36,7 +36,7 @@ TEST(Mesh, InitialBoxIsSixTets) {
 }
 
 TEST(Mesh, VertexLocking) {
-  DelaunayMesh mesh(unit_box(), 1000, 1000);
+  DelaunayMesh mesh(unit_box());
   std::int32_t held = -1;
   EXPECT_TRUE(mesh.try_lock_vertex(0, 3, held));
   EXPECT_TRUE(mesh.try_lock_vertex(0, 3, held));  // reentrant
@@ -146,7 +146,7 @@ TEST(Mesh, ArenaBlockModePreservesProtocols) {
   // A mesh with a large arena block must behave identically: reserved-
   // unused cell slots read dead (gen 0), reserved-unused vertex slots read
   // dead, and insertion through the block-create path yields a live vertex.
-  DelaunayMesh mesh(unit_box(), 2000, 2000, /*arena_block=*/128);
+  DelaunayMesh mesh(unit_box(), /*arena_block=*/128);
   EXPECT_EQ(mesh.count_alive_cells(), 6u);
   EXPECT_EQ(mesh.check_integrity(/*check_delaunay=*/false), "");
 
@@ -168,7 +168,7 @@ TEST(Mesh, ArenaBlockModePreservesProtocols) {
 }
 
 TEST(Locate, FindsContainingCell) {
-  DelaunayMesh mesh(unit_box(), 1000, 1000);
+  DelaunayMesh mesh(unit_box());
   std::mt19937 rng(1);
   std::uniform_real_distribution<double> u(0.01, 0.99);
   for (int i = 0; i < 200; ++i) {
@@ -185,7 +185,7 @@ TEST(Locate, FindsContainingCell) {
 }
 
 TEST(Insert, SinglePoint) {
-  DelaunayMesh mesh(unit_box(), 1000, 1000);
+  DelaunayMesh mesh(unit_box());
   OpScratch s;
   const OpResult r =
       insert_point(mesh, {0.5, 0.5, 0.5}, VertexKind::Circumcenter, 0, 0, s);
@@ -201,7 +201,7 @@ TEST(Insert, SinglePoint) {
 }
 
 TEST(Insert, DuplicateFails) {
-  DelaunayMesh mesh(unit_box(), 1000, 1000);
+  DelaunayMesh mesh(unit_box());
   OpScratch s;
   ASSERT_EQ(insert_point(mesh, {0.5, 0.5, 0.5}, VertexKind::Circumcenter, 0, 0, s)
                 .status,
@@ -212,7 +212,7 @@ TEST(Insert, DuplicateFails) {
 }
 
 TEST(Insert, OutsideBoxFails) {
-  DelaunayMesh mesh(unit_box(), 1000, 1000);
+  DelaunayMesh mesh(unit_box());
   OpScratch s;
   EXPECT_EQ(insert_point(mesh, {1.5, 0.5, 0.5}, VertexKind::Circumcenter, 0, 0, s)
                 .status,
@@ -222,7 +222,7 @@ TEST(Insert, OutsideBoxFails) {
 class RandomInsertion : public ::testing::TestWithParam<unsigned> {};
 
 TEST_P(RandomInsertion, DelaunayAfterManyInserts) {
-  DelaunayMesh mesh(unit_box(), 10000, 40000);
+  DelaunayMesh mesh(unit_box());
   OpScratch s;
   std::mt19937 rng(GetParam());
   std::uniform_real_distribution<double> u(0.02, 0.98);
@@ -247,7 +247,7 @@ INSTANTIATE_TEST_SUITE_P(Seeds, RandomInsertion,
 TEST(Insert, GridPointsWithCosphericalDegeneracies) {
   // Regular grid points produce many cospherical configurations; the exact
   // tie rule (on-sphere = outside) must keep the structure consistent.
-  DelaunayMesh mesh(unit_box(), 10000, 40000);
+  DelaunayMesh mesh(unit_box());
   OpScratch s;
   int ok = 0;
   for (int x = 1; x <= 4; ++x) {
@@ -266,7 +266,7 @@ TEST(Insert, GridPointsWithCosphericalDegeneracies) {
 }
 
 TEST(Remove, InsertThenRemoveRestoresDelaunay) {
-  DelaunayMesh mesh(unit_box(), 10000, 40000);
+  DelaunayMesh mesh(unit_box());
   OpScratch s;
   std::mt19937 rng(77);
   std::uniform_real_distribution<double> u(0.1, 0.9);
@@ -297,7 +297,7 @@ TEST(Remove, InsertThenRemoveRestoresDelaunay) {
 }
 
 TEST(Remove, BoxVertexRefused) {
-  DelaunayMesh mesh(unit_box(), 1000, 1000);
+  DelaunayMesh mesh(unit_box());
   OpScratch s;
   EXPECT_EQ(remove_vertex(mesh, mesh.box_vertices()[0], 0, s).status,
             OpStatus::Failed);
@@ -317,7 +317,7 @@ void seed_random_points(DelaunayMesh& mesh, int n, unsigned seed) {
 }
 
 TEST(Remove, DeadVertexRefused) {
-  DelaunayMesh mesh(unit_box(), 1000, 8000);
+  DelaunayMesh mesh(unit_box());
   seed_random_points(mesh, 40, 31);
   OpScratch s;
   const OpResult r =
@@ -328,7 +328,7 @@ TEST(Remove, DeadVertexRefused) {
 }
 
 TEST(Remove, ConflictWhenVertexHeld) {
-  DelaunayMesh mesh(unit_box(), 1000, 8000);
+  DelaunayMesh mesh(unit_box());
   seed_random_points(mesh, 40, 33);
   OpScratch s;
   const OpResult r =
@@ -378,7 +378,7 @@ TEST(LocalDelaunay, DuplicatePointFails) {
 // strength.
 
 TEST(ConcurrentInsert, ParallelThreadsKeepInvariants) {
-  DelaunayMesh mesh(unit_box(), 1 << 16, 1 << 19);
+  DelaunayMesh mesh(unit_box());
   constexpr int kThreads = 4;
   constexpr int kPerThread = 400;
   std::atomic<int> successes{0}, failed{0};
@@ -428,7 +428,7 @@ TEST(ConcurrentInsert, ParallelThreadsKeepInvariants) {
 }
 
 TEST(ConcurrentMixed, InsertAndRemoveRace) {
-  DelaunayMesh mesh(unit_box(), 1 << 16, 1 << 19);
+  DelaunayMesh mesh(unit_box());
   constexpr int kThreads = 4;
   constexpr int kOps = 300;  // per thread; every 4th removes (i % 4 == 3)
   std::atomic<int> ins{0}, ins_failed{0}, rem{0}, rem_failed{0};
@@ -503,7 +503,7 @@ TEST(ConcurrentMixed, InsertAndRemoveRace) {
 /// writer records the point it inserted for each vertex id; afterwards every
 /// live vertex's position must be exactly that point.
 void position_publication_churn(int writer_threads) {
-  DelaunayMesh mesh({{0, 0, 0}, {1, 1, 1}}, 1 << 16, 1 << 19);
+  DelaunayMesh mesh({{0, 0, 0}, {1, 1, 1}});
   std::atomic<bool> stop{false};
   std::vector<std::vector<std::pair<VertexId, Vec3>>> inserted(
       static_cast<std::size_t>(writer_threads));

@@ -56,7 +56,7 @@ TEST(PredicateEdge, InsphereParity) {
 
 TEST(KernelDeath, UnlockWithoutOwnershipAborts) {
   ::testing::FLAGS_gtest_death_test_style = "threadsafe";
-  DelaunayMesh mesh({{0, 0, 0}, {1, 1, 1}}, 100, 100);
+  DelaunayMesh mesh({{0, 0, 0}, {1, 1, 1}});
   EXPECT_DEATH(mesh.unlock_vertex(0, /*tid=*/3), "not held");
 }
 
@@ -82,7 +82,7 @@ TEST(OptionsDeath, MissingDeltaAborts) {
 // --- insertion on exact degeneracies ----------------------------------------
 
 TEST(InsertEdge, PointOnSharedFaceOrEdge) {
-  DelaunayMesh mesh({{0, 0, 0}, {1, 1, 1}}, 1000, 4000);
+  DelaunayMesh mesh({{0, 0, 0}, {1, 1, 1}});
   OpScratch s;
   // Interior diagonal of the Kuhn subdivision: points on it lie on shared
   // faces/edges of the initial cells. Insertion must either succeed or fail
@@ -98,7 +98,7 @@ TEST(InsertEdge, PointOnSharedFaceOrEdge) {
 }
 
 TEST(InsertEdge, BoxCornersAreDuplicates) {
-  DelaunayMesh mesh({{0, 0, 0}, {1, 1, 1}}, 1000, 4000);
+  DelaunayMesh mesh({{0, 0, 0}, {1, 1, 1}});
   OpScratch s;
   const OpResult r =
       insert_point(mesh, {0, 0, 0}, VertexKind::Circumcenter, 0, 0, s);

@@ -9,8 +9,7 @@
 #include <set>
 #include <sstream>
 
-#include "baselines/plc_mesher.hpp"
-#include "baselines/seq_mesher.hpp"
+#include "baselines/reference_mesher.hpp"
 #include "core/pi2m.hpp"
 #include "geometry/tetra.hpp"
 #include "imaging/phantom.hpp"
@@ -202,17 +201,13 @@ TEST(Integration, BaselinesAgreeOnVolume) {
   EXPECT_NEAR(evaluate_quality(pres.mesh).total_volume, vox_volume,
               0.15 * vox_volume);
 
-  baselines::SeqMesherOptions sopt;
-  sopt.delta = 1.6;
-  const auto sres = baselines::mesh_image_reference(img, sopt);
+  const auto sres = baselines::mesh_image_reference(img, popt);
   ASSERT_TRUE(sres.completed);
   EXPECT_NEAR(evaluate_quality(sres.mesh).total_volume, vox_volume,
               0.15 * vox_volume);
 
   const IsosurfaceOracle oracle(img, 1);
-  baselines::PlcMesherOptions qopt;
-  qopt.protect_radius = 1.4;
-  const auto qres = baselines::mesh_volume_from_surface(pres.mesh, oracle, qopt);
+  const auto qres = baselines::mesh_volume_from_surface(pres.mesh, oracle, popt);
   ASSERT_TRUE(qres.completed);
   EXPECT_NEAR(evaluate_quality(qres.mesh).total_volume, vox_volume,
               0.15 * vox_volume);

@@ -164,8 +164,8 @@ std::uint64_t seed_and_check(const LabeledImage3D& img, int threads) {
             lattice::LatticeFill(oracle, kSeedDelta, 0.0, 1).interface_keys());
 
   const Aabb ib = img.bounds();
-  DelaunayMesh mesh(ib.inflated(0.15 * norm(ib.extent())), 1u << 20,
-                    1u << 23, /*arena_block=*/256);
+  DelaunayMesh mesh(ib.inflated(0.15 * norm(ib.extent())),
+                    /*arena_block=*/256);
   std::vector<OpScratch> scratch(static_cast<std::size_t>(threads));
   std::vector<OpScratch*> ptrs;
   for (OpScratch& s : scratch) ptrs.push_back(&s);

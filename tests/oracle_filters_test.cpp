@@ -82,7 +82,7 @@ TEST(FilterLowerBound, NeverExceedsTrueDistance) {
 // --- fast-path insertion API -------------------------------------------------
 
 TEST(InsertInConflict, StaleGenerationRejected) {
-  DelaunayMesh mesh({{0, 0, 0}, {1, 1, 1}}, 1000, 4000);
+  DelaunayMesh mesh({{0, 0, 0}, {1, 1, 1}});
   OpScratch s;
   const std::uint32_t gen0 = mesh.cell_gen(0);
   ASSERT_EQ(insert_point(mesh, {0.4, 0.4, 0.4}, VertexKind::Circumcenter, 0, 0,
@@ -97,7 +97,7 @@ TEST(InsertInConflict, StaleGenerationRejected) {
 }
 
 TEST(InsertInConflict, WrongConflictClaimFails) {
-  DelaunayMesh mesh({{0, 0, 0}, {1, 1, 1}}, 1000, 4000);
+  DelaunayMesh mesh({{0, 0, 0}, {1, 1, 1}});
   OpScratch s;
   // Point far outside cell 0's circumsphere? All initial cells' circumspheres
   // cover the whole box, so instead claim conflict with a *duplicate* of an
@@ -116,8 +116,8 @@ TEST(InsertInConflict, MatchesWalkingPathResults) {
   std::vector<Vec3> pts(120);
   for (Vec3& p : pts) p = {u(rng), u(rng), u(rng)};
 
-  DelaunayMesh a({{0, 0, 0}, {1, 1, 1}}, 1 << 12, 1 << 15);
-  DelaunayMesh b({{0, 0, 0}, {1, 1, 1}}, 1 << 12, 1 << 15);
+  DelaunayMesh a({{0, 0, 0}, {1, 1, 1}});
+  DelaunayMesh b({{0, 0, 0}, {1, 1, 1}});
   // One scratch per mesh: the scratch's cell free-list is mesh-specific.
   OpScratch sa, sb;
   std::size_t ok_a = 0, ok_b = 0;

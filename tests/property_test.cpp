@@ -58,7 +58,7 @@ TEST_P(MixedOpsFuzz, SequentialRandomProgramKeepsInvariants) {
   std::uniform_real_distribution<double> u(0.05, 0.95);
   std::uniform_int_distribution<int> coin(0, 9);
 
-  DelaunayMesh mesh({{0, 0, 0}, {1, 1, 1}}, 1 << 14, 1 << 17);
+  DelaunayMesh mesh({{0, 0, 0}, {1, 1, 1}});
   OpScratch s;
   std::vector<VertexId> alive;
   int inserts = 0, removes = 0;
@@ -97,7 +97,7 @@ class ParallelMixedFuzz : public ::testing::TestWithParam<int> {};
 
 TEST_P(ParallelMixedFuzz, ThreadSweepKeepsInvariants) {
   const int threads = GetParam();
-  DelaunayMesh mesh({{0, 0, 0}, {1, 1, 1}}, 1 << 16, 1 << 19);
+  DelaunayMesh mesh({{0, 0, 0}, {1, 1, 1}});
   std::vector<std::thread> pool;
   for (int t = 0; t < threads; ++t) {
     pool.emplace_back([&mesh, t, threads] {
@@ -131,7 +131,7 @@ INSTANTIATE_TEST_SUITE_P(Threads, ParallelMixedFuzz,
 // --- locate after churn ----------------------------------------------------
 
 TEST(LocateProperty, AlwaysFindsContainingCellAfterChurn) {
-  DelaunayMesh mesh({{0, 0, 0}, {1, 1, 1}}, 1 << 14, 1 << 17);
+  DelaunayMesh mesh({{0, 0, 0}, {1, 1, 1}});
   OpScratch s;
   std::mt19937 rng(7);
   std::uniform_real_distribution<double> u(0.05, 0.95);

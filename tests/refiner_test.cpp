@@ -15,8 +15,6 @@ MeshingOptions base_options(double delta, int threads) {
   MeshingOptions opt;
   opt.threads = threads;
   opt.delta = delta;
-  opt.max_vertices = std::size_t{1} << 20;
-  opt.max_cells = std::size_t{1} << 22;
   opt.watchdog_sec = 60.0;
   return opt;
 }

@@ -25,7 +25,7 @@ namespace {
 // strength.
 
 TEST(Torture, SixteenThreadsMixedOpsOnKernel) {
-  DelaunayMesh mesh({{0, 0, 0}, {1, 1, 1}}, 1 << 17, 1 << 20);
+  DelaunayMesh mesh({{0, 0, 0}, {1, 1, 1}});
   constexpr int kThreads = 16;
   constexpr int kOps = 500;  // per thread; every 3rd removes (i % 3 == 2)
   std::atomic<std::uint64_t> inserts{0}, insert_failed{0}, removes{0},
