@@ -1,6 +1,7 @@
-// Shared plumbing for the paper-reproduction benchmark binaries.
+// Shared plumbing for the benchmark binaries (bench_paper, bench_serve,
+// bench_lattice).
 //
-// Every bench accepts [grid_size] [delta] as its first arguments so runs
+// Every bench takes positional arguments ([grid_size] [delta] ...) so runs
 // can be scaled up on bigger machines; the defaults are sized so each
 // bench finishes in seconds to a few minutes. Thread counts above the
 // host's hardware thread count timeshare its cores (print_host_note).
@@ -10,21 +11,12 @@
 #include <cstdlib>
 #include <limits>
 #include <string>
-#include <utility>
+#include <thread>
 
 #include "core/pi2m.hpp"
-#include "imaging/phantom.hpp"
-#include "io/tables.hpp"
 #include "pipeline/job_options.hpp"
 
 namespace pi2m::bench {
-
-inline LabeledImage3D make_phantom(const std::string& name, int n) {
-  auto img = phantom::by_name(name, n);
-  if (img) return std::move(*img);
-  std::fprintf(stderr, "unknown phantom '%s'\n", name.c_str());
-  std::exit(2);
-}
 
 /// The positional arguments ([grid_size] [delta] ...), each parsed whole
 /// and range-checked as the job flags are (parse_number). A refused value
@@ -34,9 +26,10 @@ class Args {
   Args(int argc, char** argv, const char* usage)
       : argc_(argc), argv_(argv), usage_(usage) {}
 
-  /// argv[i] as an integer in [1, hi], or `dflt` when absent.
-  [[nodiscard]] int count(int i, int dflt, int hi = kMaxJobThreads) const {
-    return static_cast<int>(number(i, dflt, 1, hi, true, false));
+  /// argv[i] as an integer in [lo, hi], or `dflt` when absent.
+  [[nodiscard]] int count(int i, int dflt, int hi = kMaxJobThreads,
+                          int lo = 1) const {
+    return static_cast<int>(number(i, dflt, lo, hi, true, false));
   }
   /// argv[i] as a phantom's edge in voxels, in the job's --size range.
   [[nodiscard]] int grid(int i, int dflt) const {
@@ -51,6 +44,15 @@ class Args {
   [[nodiscard]] std::string text(int i, const char* dflt) const {
     return has(i) ? argv_[i] : dflt;
   }
+  /// Refuses any argument from argv[n] on.
+  void at_most(int n) const {
+    if (has(n)) refuse(std::string("unexpected argument '") + argv_[n] + "'");
+  }
+  /// Prints why and the usage line, and exits 2.
+  [[noreturn]] void refuse(const std::string& why) const {
+    std::fprintf(stderr, "%s\nusage: %s\n", why.c_str(), usage_);
+    std::exit(2);
+  }
 
  private:
   [[nodiscard]] bool has(int i) const { return i < argc_; }
@@ -60,9 +62,8 @@ class Args {
     double v = 0;
     const std::string why =
         parse_number(argv_[i], lo, hi, integer, v, lo_open);
-    if (why.empty()) return v;
-    std::fprintf(stderr, "%s\nusage: %s\n", why.c_str(), usage_);
-    std::exit(2);
+    if (!why.empty()) refuse(why);
+    return v;
   }
 
   int argc_;
@@ -80,18 +81,6 @@ inline MeshingOptions options(double delta, int threads) {
   opt.topology = {2, 2};
   opt.watchdog_sec = 15.0;
   return opt;
-}
-
-inline MeshingResult run_pi2m(const LabeledImage3D& img,
-                              const MeshingOptions& opt) {
-  return mesh_image(img, opt);
-}
-
-/// Weak scaling control (paper §6.3): a decrease of delta by x increases
-/// the mesh size by ~x^3, so delta_n = delta_1 / n^(1/3) keeps the number
-/// of elements per thread approximately constant.
-inline double weak_scaling_delta(double delta_1, int threads) {
-  return delta_1 / std::cbrt(static_cast<double>(threads));
 }
 
 inline void print_host_note() {

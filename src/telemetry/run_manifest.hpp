@@ -5,9 +5,9 @@
 // mirror of the command line), where the time went (ordered phase
 // timings), and every metric the run produced (a MetricsRegistry
 // snapshot). This is the single producer format behind `pi2m
-// --json-report`, the bench binaries' manifest output and the serving
-// daemon's job manifests — consumers parse one schema instead of
-// per-binary hand-written JSON.
+// --json-report`, the `bench_micro --manifest` and `bench_paper
+// --manifest` output and the serving daemon's job manifests — consumers
+// parse one schema instead of per-binary hand-written JSON.
 //
 // Schema (version 2):
 //   {
